@@ -29,9 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import intlinalg, kernels
+from . import intlinalg
 from .errors import InternalInconsistency, NotACocycle, TrivialClass
 from .picard import (
     RANK,
@@ -166,7 +164,19 @@ class _CohomologyData:
     class_matrix: tuple[tuple[int, ...], ...]  # 6x8; class_of(d) = matrix*d mod 2
 
 
-def _brute_force_class(d: DivClass, one_minus: intlinalg.Matrix) -> CohClass:
+def _one_minus_matrix() -> intlinalg.Matrix:
+    s = _matrix_rows(GEISER)
+    eye = intlinalg.identity(RANK)
+    return [[eye[i][j] - s[i][j] for j in range(RANK)] for i in range(RANK)]
+
+
+@lru_cache(maxsize=1)
+def _one_minus_solver():
+    """Solves (1 - sigma)x = b; the matrix is echelonised once per process."""
+    return intlinalg.solver(_one_minus_matrix())
+
+
+def _brute_force_class(d: DivClass) -> CohClass:
     es = [e_class(i) for i in range(1, 7)]
     found = None
     for bits in itertools.product((0, 1), repeat=6):
@@ -174,7 +184,7 @@ def _brute_force_class(d: DivClass, one_minus: intlinalg.Matrix) -> CohClass:
         for b, e in zip(bits, es):
             if b:
                 shifted = shifted - e
-        if intlinalg.solve(one_minus, list(shifted.coeffs)) is not None:
+        if _one_minus_solver()(list(shifted.coeffs)) is not None:
             if found is not None:
                 raise InternalInconsistency(f"two classes match {d!r}: {found}, {bits}")
             found = bits
@@ -188,7 +198,7 @@ def _cohomology() -> _CohomologyData:
     s = _matrix_rows(GEISER)
     eye = intlinalg.identity(RANK)
     one_plus = [[eye[i][j] + s[i][j] for j in range(RANK)] for i in range(RANK)]
-    one_minus = [[eye[i][j] - s[i][j] for j in range(RANK)] for i in range(RANK)]
+    one_minus = _one_minus_matrix()
 
     kernel = [DivClass(tuple(v)) for v in intlinalg.kernel_basis(one_plus)]
     image = [DivClass(tuple(v)) for v in intlinalg.column_space_basis(one_minus)]
@@ -197,9 +207,10 @@ def _cohomology() -> _CohomologyData:
 
     # elementary divisors of the quotient: image generators in kernel coordinates
     kernel_cols = _columns(kernel)
+    in_kernel_coords = intlinalg.solver(kernel_cols)
     coords = []
     for img in image:
-        c = intlinalg.solve(kernel_cols, list(img.coeffs))
+        c = in_kernel_coords(list(img.coeffs))
         if c is None:
             raise InternalInconsistency(f"{img!r} is not inside ker(1+sigma)")
         coords.append(c)
@@ -218,14 +229,15 @@ def _cohomology() -> _CohomologyData:
     if basis_matrix is None:
         raise InternalInconsistency("kernel basis does not complete to a unimodular basis")
     inv_cols = []
+    solve_basis = intlinalg.solver(basis_matrix)
     for j in range(RANK):
         unit = [1 if i == j else 0 for i in range(RANK)]
-        col = intlinalg.solve(basis_matrix, unit)
+        col = solve_basis(unit)
         if col is None:
             raise InternalInconsistency("failed to invert a unimodular matrix")
         inv_cols.append(col)
     b_inv = intlinalg.transpose(inv_cols)
-    kernel_classes = [_brute_force_class(k, one_minus) for k in kernel]
+    kernel_classes = [_brute_force_class(k) for k in kernel]
     c_mat = [[kernel_classes[j].bits[r] for j in range(7)] + [0] for r in range(6)]
     class_matrix = [[v % 2 for v in row] for row in intlinalg.mat_mul(c_mat, b_inv)]
 
@@ -246,12 +258,6 @@ def _cohomology() -> _CohomologyData:
 def _apply_class_matrix(data: _CohomologyData, d: DivClass) -> CohClass:
     return CohClass(tuple(sum(row[j] * d.coeffs[j] for j in range(RANK)) % 2
                           for row in data.class_matrix))
-
-
-def _one_minus_matrix() -> intlinalg.Matrix:
-    s = _matrix_rows(GEISER)
-    eye = intlinalg.identity(RANK)
-    return [[eye[i][j] - s[i][j] for j in range(RANK)] for i in range(RANK)]
 
 
 def one_plus_sigma_kernel() -> list[DivClass]:
@@ -277,7 +283,7 @@ def _require_cocycle(d: DivClass) -> None:
 def is_coboundary(d: DivClass) -> bool:
     """Exact membership test for im(1 - sigma); requires d in ker(1 + sigma)."""
     _require_cocycle(d)
-    return intlinalg.solve(_one_minus_matrix(), list(d.coeffs)) is not None
+    return _one_minus_solver()(list(d.coeffs)) is not None
 
 
 def class_of(d: DivClass) -> CohClass:
@@ -291,13 +297,21 @@ def class_of(d: DivClass) -> CohClass:
 # ---------------------------------------------------------------------------
 
 
+def _first_pair_per_code(codes: list[int]) -> dict[int, tuple[int, int]]:
+    """First (i, j) in row-major order with codes[i] ^ codes[j] equal to each value."""
+    table: dict[int, tuple[int, int]] = {}
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes):
+            table.setdefault(a ^ b, (i, j))
+    return table
+
+
 @lru_cache(maxsize=1)
 def _pair_table() -> dict[int, tuple[int, int]]:
-    curves = enumerate_exceptional()
-    arr = np.array([c.cls.coeffs for c in curves], dtype=np.int64)
-    clsmat = np.array(_cohomology().class_matrix, dtype=np.int64)
-    codes = kernels.pair_class_codes(arr, clsmat)
-    return kernels.first_pair_for_each_code(codes)
+    # the class matrix is linear mod 2, so [Ei - Ej] is code(Ei) XOR code(Ej)
+    data = _cohomology()
+    return _first_pair_per_code([_apply_class_matrix(data, c.cls).code
+                                 for c in enumerate_exceptional()])
 
 
 def represent_as_difference(v: CohClass) -> tuple[ExceptionalCurve, ExceptionalCurve]:

@@ -3,12 +3,15 @@
 Matrices are lists of rows of Python ints, so nothing here ever overflows or
 rounds.  The workhorse is a column echelon reduction H = M*U with U unimodular,
 which yields integer kernels, column-space bases, and membership/solution tests
-for M*x = b over the integers.  Elementary divisors come from a textbook Smith
-reduction.  All inputs in this package are at most 8x8, so no attention is paid
-to asymptotics; correctness is cross-checked against sympy in the test suite.
+for M*x = b over the integers (``solver`` reduces once, then solves for many
+right-hand sides).  Elementary divisors come from a textbook Smith reduction.
+All inputs in this package are at most 8x8, so no attention is paid to
+asymptotics; correctness is cross-checked against sympy in the test suite.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -109,23 +112,36 @@ def column_space_basis(m: Matrix) -> list[Vector]:
     return [[h[i][c] for i in range(rows)] for _, c in pivots]
 
 
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """One integer solution of m*x = b, or None when none exists."""
+def solver(m: Matrix) -> Callable[[Vector], Vector | None]:
+    """Echelonise m once; the result maps b to one integer solution of m*x = b, or None.
+
+    The echelon data stays private to the returned function, so neither later
+    changes to m nor changes to a returned solution affect other solves.
+    """
     h, u, pivots = column_echelon(m)
     rows, cols = len(m), len(m[0])
-    residual = list(b)
-    y = [0] * cols
-    for row, c in pivots:
-        num, den = residual[row], h[row][c]
-        if num % den != 0:
+
+    def solve_for(b: Vector) -> Vector | None:
+        residual = list(b)
+        y = [0] * cols
+        for row, c in pivots:
+            num, den = residual[row], h[row][c]
+            if num % den != 0:
+                return None
+            y[c] = num // den
+            if y[c] != 0:
+                for i in range(rows):
+                    residual[i] -= y[c] * h[i][c]
+        if any(residual):
             return None
-        y[c] = num // den
-        if y[c] != 0:
-            for i in range(rows):
-                residual[i] -= y[c] * h[i][c]
-    if any(residual):
-        return None
-    return mat_vec(u, y)
+        return mat_vec(u, y)
+
+    return solve_for
+
+
+def solve(m: Matrix, b: Vector) -> Vector | None:
+    """One integer solution of m*x = b, or None when none exists."""
+    return solver(m)(b)
 
 
 def det(m: Matrix) -> int:

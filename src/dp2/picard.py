@@ -12,13 +12,15 @@ is diagonal with signature (1, 7):
 Everything in this module is exact integer arithmetic on that lattice: the
 distinguished classes H = -K (the halved anticanonical polarisation, pullback
 of a line under the double cover), the 56 classes of (-1)-curves in their
-four classical families, and a small text grammar for divisor classes used by
-the command line tools.
+four classical families, a provably complete enumerator of the classes with
+given degree and self-intersection, and a small text grammar for divisor
+classes used by the command line tools.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +43,8 @@ __all__ = [
     "canonical_class",
     "enumerate_exceptional",
     "classify",
+    "coordinate_bounds",
+    "classes_with",
     "parse_divisor",
     "format_divisor",
 ]
@@ -223,6 +227,70 @@ def classify(d: DivClass) -> ExceptionalCurve | None:
     if d.selfint != -1 or d.dot(H) != 1:
         return None
     return _by_class().get(d)
+
+
+# ---------------------------------------------------------------------------
+# complete enumeration of the classes with D.H = k and D.D = s
+#
+# Write D = (k/2) H + v with v.H = 0, so v.v = s - k^2/2.  By the Hodge index
+# theorem H-perp (the E7 lattice) is negative definite, so Cauchy-Schwarz
+# there gives, for every class X with X = (X.H/2) H + x,
+#
+#     (D.X - k (X.H)/2)^2 = (v.x)^2 <= (v.v)(x.x) = (k^2/2 - s)((X.H)^2/2 - X.X).
+#
+# Taking X = L and X = Ei bounds every coordinate, so a search of that box
+# finds every solution, not just those inside an arbitrary box.  This is the
+# idea behind Fincke-Pohst short-vector enumeration.
+# ---------------------------------------------------------------------------
+
+
+def coordinate_bounds(degree: int, selfint: int) -> list[tuple[int, int]] | None:
+    """Interval of each coordinate (d, m1..m7) over all D with D.H = degree, D.D = selfint.
+
+    The intervals follow from the Cauchy-Schwarz bound above, in exact integer
+    arithmetic.  None when degree^2 < 2*selfint, where no class exists.
+    """
+    slack = degree * degree - 2 * selfint  # 4 (k^2/2 - s)
+    if slack < 0:
+        return None
+    bounds = []
+    for x in [L] + [E(i) for i in range(1, 8)]:
+        xh = x.dot(H)
+        # |2 D.X - k X.H| <= isqrt(slack * ((X.H)^2 - 2 X.X))
+        r = math.isqrt(slack * (xh * xh - 2 * x.selfint))
+        lo, hi = -((r - degree * xh) // 2), (degree * xh + r) // 2
+        # the basis is orthonormal up to sign: the coordinate is (D.X)(X.X)
+        bounds.append((lo, hi) if x.selfint > 0 else (-hi, -lo))
+    return bounds
+
+
+def classes_with(degree: int, selfint: int) -> list[DivClass]:
+    """Every class D with D.H = degree and D.D = selfint, in lexicographic order.
+
+    Exhaustive over the box of coordinate_bounds, which provably holds all of
+    them.  m7 is solved from D.H = 3d + m1 + ... + m7, and partial sums of the
+    mi^2 beyond d^2 - selfint are pruned.
+    """
+    bounds = coordinate_bounds(degree, selfint)
+    if bounds is None:
+        return []
+    (d_lo, d_hi), *m_bounds = bounds
+    last_lo, last_hi = m_bounds[-1]
+    found: list[DivClass] = []
+
+    def extend(prefix: tuple[int, ...], degree_left: int, squares_left: int) -> None:
+        if len(prefix) == RANK - 1:
+            if last_lo <= degree_left <= last_hi and degree_left * degree_left == squares_left:
+                found.append(DivClass((*prefix, degree_left)))
+            return
+        lo, hi = m_bounds[len(prefix) - 1]
+        for m in range(lo, hi + 1):
+            if m * m <= squares_left:
+                extend((*prefix, m), degree_left - m, squares_left - m * m)
+
+    for d in range(d_lo, d_hi + 1):
+        extend((d,), degree - 3 * d, d * d - selfint)
+    return found
 
 
 # ---------------------------------------------------------------------------

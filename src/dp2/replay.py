@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
-from . import chern, cohom, galois, intlinalg, kernels, order, picard, reporting
+from . import chern, cohom, galois, intlinalg, order, picard, reporting
 from .errors import NotACocycle, UnknownClaim
 from .galois import CohClass, class_of, is_coboundary, sigma
 from .picard import (
@@ -78,10 +78,10 @@ def _curve_classes() -> list[DivClass]:
 
 
 def _census_matches_scan() -> dict[str, Any]:
-    scanned = kernels.box_scan()
-    scanned_set = {tuple(int(x) for x in row) for row in scanned}
-    closed_set = {c.coeffs for c in _curve_classes()}
-    return {"scan_count": int(scanned.shape[0]), "matches_closed_form": scanned_set == closed_set}
+    # complete, not just a box search: see picard.coordinate_bounds
+    scanned = picard.classes_with(1, -1)
+    return {"scan_count": len(scanned),
+            "matches_closed_form": set(scanned) == set(_curve_classes())}
 
 
 def _sigma_permutation() -> dict[str, Any]:

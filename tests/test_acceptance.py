@@ -3,9 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; without ``-s`` pytest still enforces every assertion.  All checks are
 exact integer comparisons; the only tolerances anywhere are the three wall
-clock budgets, measured with warm compilation caches (the numba kernels are
-compiled once and cached on disk, so steady-state timing is what a user
-sees from the second invocation on).
+clock budgets.
 """
 
 import itertools
@@ -17,7 +15,7 @@ import time
 
 import pytest
 
-from dp2 import chern, cohom, galois, kernels, order, picard
+from dp2 import chern, cohom, galois, order, picard
 from dp2.cohom import DimSequence, chi_line, cohom_dims, h0, h1, h2, les_solve
 from dp2.galois import CohClass, class_of, sigma
 from dp2.picard import (
@@ -40,10 +38,9 @@ def _report(number: int, text: str) -> None:
 
 
 def test_criterion_1_exceptional_curve_census():
-    kernels.box_scan()  # warm the compiled kernel; timing below is steady state
     start = time.perf_counter()
     curves = enumerate_exceptional()
-    scanned = {tuple(int(x) for x in row) for row in kernels.box_scan()}
+    scanned = {d.coeffs for d in picard.classes_with(1, -1)}
     elapsed = time.perf_counter() - start
 
     assert len(curves) == 56
@@ -55,7 +52,7 @@ def test_criterion_1_exceptional_curve_census():
         assert intersect(c.cls, H) == 1
     assert scanned == {c.cls.coeffs for c in curves}
     assert elapsed < 1.0
-    _report(1, f"56 curves, families (7, 21, 21, 7), census = box scan "
+    _report(1, f"56 curves, families (7, 21, 21, 7), census = complete scan "
                f"in {elapsed:.3f}s")
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dp2 import intlinalg
+from dp2 import galois, intlinalg
 from dp2.errors import NotACocycle, TrivialClass
 from dp2.galois import (
     GEISER,
@@ -225,6 +225,25 @@ def test_represent_first_hit_matches_exhaustive_scan():
     assert len(first) == 64
     for bits, pair in first.items():
         assert represent_as_difference(CohClass(bits)) == pair
+
+
+def test_pair_table_equals_brute_force_scan():
+    # oracle: class_of of each of the 3136 differences, first pair row-major
+    curves = enumerate_exceptional()
+    first = {}
+    for (i, a), (j, b) in itertools.product(enumerate(curves), repeat=2):
+        first.setdefault(class_of(a.cls - b.cls).code, (i, j))
+    assert galois._pair_table() == first
+
+
+def test_pair_codes_cover_all_64():
+    assert set(galois._pair_table()) == set(range(64))
+
+
+def test_first_pair_is_row_major():
+    # pair codes 5^3 = 6, 5^6 = 3, 3^6 = 5; (0, 1) comes before (1, 0)
+    table = galois._first_pair_per_code([5, 3, 6])
+    assert table == {0: (0, 0), 6: (0, 1), 3: (0, 2), 5: (1, 2)}
 
 
 def test_disjoint_representative_all_classes():

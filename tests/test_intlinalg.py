@@ -121,6 +121,35 @@ def test_smith_divisors_match_sympy(rng):
             assert b % a == 0
 
 
+def test_solver_agrees_with_solve(rng):
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_matrix(rng, rows, cols)
+        solve_m = intlinalg.solver(m)
+        for _ in range(5):
+            # half constructed to be solvable, half random (often unsolvable)
+            if rng.random() < 0.5:
+                b = intlinalg.mat_vec(m, [rng.randint(-5, 5) for _ in range(cols)])
+            else:
+                b = [rng.randint(-9, 9) for _ in range(rows)]
+            x = solve_m(b)
+            assert x == intlinalg.solve(m, b)
+            assert (x is None) == (not solvable_over_z(m, b))
+            if x is not None:
+                assert intlinalg.mat_vec(m, x) == b
+
+
+def test_solver_keeps_its_echelon_data_private():
+    m = [[2, 0], [0, 3]]
+    solve_m = intlinalg.solver(m)
+    first = solve_m([4, 9])
+    assert first == [2, 3]
+    first[0] = 99
+    m[0][0] = 5
+    assert solve_m([4, 9]) == [2, 3]
+    assert solve_m([1, 3]) is None
+
+
 def test_gf2_solve_against_brute_force(rng):
     for _ in range(200):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)

@@ -12,8 +12,10 @@ from dp2.picard import (
     K,
     L,
     canonical_class,
+    classes_with,
     classify,
     conic_through,
+    coordinate_bounds,
     cubic_with_node,
     enumerate_exceptional,
     format_divisor,
@@ -107,6 +109,28 @@ def brute_force_box_scan():
 
 def test_census_equals_brute_force_scan():
     assert {c.cls.coeffs for c in enumerate_exceptional()} == brute_force_box_scan()
+
+
+def test_census_bounds_are_derived():
+    assert coordinate_bounds(1, -1) == [(0, 3)] + [(-2, 1)] * 7
+
+
+def test_enumerator_finds_the_census_in_order():
+    found = [d.coeffs for d in classes_with(1, -1)]
+    assert found == sorted(c.cls.coeffs for c in enumerate_exceptional())
+
+
+def test_enumerator_finds_the_126_roots_of_e7():
+    roots = classes_with(0, -2)
+    assert len(roots) == 126 == len(set(roots))
+    assert all(r.dot(H) == 0 and r.selfint == -2 for r in roots)
+    assert [r.coeffs for r in roots] == sorted(r.coeffs for r in roots)
+
+
+def test_enumerator_empty_when_no_class_exists():
+    # E7 is even, and v.v > 0 is impossible in the negative definite H-perp
+    assert classes_with(0, -1) == []
+    assert classes_with(1, 1) == []
 
 
 def test_census_closed_under_bitangent_pairing():

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -7,7 +6,6 @@ import pytest
 
 from dp2 import replay
 from dp2.errors import UnknownClaim
-from dp2.kernels import HAVE_NUMBA
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +78,12 @@ def test_every_claim_cites_a_source_or_is_derived(reports):
         assert r.paper_ref == "derived" or len(r.paper_ref) > 10
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_replay_output_identical_across_backends():
-    def run_with(backend):
-        env = dict(os.environ, DP2_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dp2", "replay", "all", "--json"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    assert run_with("numba") == run_with("numpy")
+def test_replay_runs_without_numpy():
+    # the replay is pure Python; a heavy array import would cost every cold start
+    script = ("import sys, dp2, dp2.cli\n"
+              "code = dp2.cli.main(['replay', 'all'])\n"
+              "print(sorted({'numpy', 'numba'} & set(sys.modules)), code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0"

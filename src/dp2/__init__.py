@@ -7,75 +7,8 @@ and its group cohomology, exact cohomology dimensions of line bundles,
 Chern character arithmetic, and the Ext bookkeeping for the cyclic quaternion
 order built from a disjoint pair of exceptional curves.  The ``replay``
 module re-verifies every recorded numerical statement and the ``dp2`` command
-line exposes the lot.
+line exposes the lot.  The library is used through its submodules, e.g.
+``from dp2 import cohom``; importing the package loads none of them.
 """
-
-from .chern import (
-    ChernChar,
-    MINIMAL_C2,
-    bogomolov_min_c2,
-    c1_constraint,
-    ch_line,
-    ch_of,
-    chern_of_extension,
-    discriminant,
-    dual,
-    euler_pairing,
-    mult,
-)
-from .cohom import (
-    CohomDims,
-    DimSequence,
-    chi_line,
-    cohom_dims,
-    cohom_ideal_twist,
-    h0,
-    h1,
-    h2,
-    les_solve,
-    noneffective_witness,
-)
-from .galois import (
-    CohClass,
-    class_of,
-    disjoint_representative,
-    h1_galois,
-    is_coboundary,
-    one_minus_sigma_image,
-    one_plus_sigma_kernel,
-    represent_as_difference,
-    sigma,
-)
-from .order import (
-    ExtTable,
-    OrderModel,
-    SplitBundle,
-    decomposition_solve,
-    ext_a_induced,
-    ext_y_split,
-    hom_vanishing_by_det,
-    ramification_split,
-    replay_exceptional,
-    replay_orthogonality,
-    serre_twist,
-    standard_model,
-)
-from .picard import (
-    DivClass,
-    ExceptionalCurve,
-    Family,
-    H,
-    K,
-    L,
-    F,
-    E,
-    canonical_class,
-    classify,
-    enumerate_exceptional,
-    format_divisor,
-    intersect,
-    parse_divisor,
-)
-from .replay import run_all, run_one
 
 __version__ = "0.1.0"

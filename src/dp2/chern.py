@@ -14,8 +14,8 @@ of ch(x)^dual . ch(y) . td, which works out to
 The module also carries the rank-2 discriminant 4c2 - c1^2 with its
 Bogomolov-type lower bound for c2, additivity of characters in short exact
 sequences (with the ideal-sheaf correction for a point), and the constraint
-that the first Chern class of a module over the standard quaternion order is
-the order's invertible summand plus an integer multiple of H.
+that the first Chern class of a module over a cyclic quaternion order is the
+class of the order's invertible summand plus an integer multiple of H.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HalfIntegerLeak
-from .picard import ZERO, DivClass, F, H, intersect
+from .picard import ZERO, DivClass, H, intersect
 
 __all__ = [
     "ChernChar",
@@ -41,7 +41,6 @@ __all__ = [
     "chern_of_extension",
     "ch_ideal_point_twist",
     "c1_constraint",
-    "STANDARD_ORDER_C1",
 ]
 
 
@@ -143,10 +142,7 @@ def ch_ideal_point_twist(d: DivClass) -> ChernChar:
     return ChernChar(base.rank, base.c, base.s2 - 2)
 
 
-STANDARD_ORDER_C1 = F - H  # E1 - C12, the invertible summand of the standard order
-
-
-def c1_constraint(c1: DivClass, lclass: DivClass = STANDARD_ORDER_C1) -> int | None:
+def c1_constraint(c1: DivClass, lclass: DivClass) -> int | None:
     """The integer n with c1 = lclass + n*H, or None when no such n exists.
 
     First Chern classes of line bundles over the cyclic order with invertible

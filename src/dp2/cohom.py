@@ -6,8 +6,8 @@ Riemann-Roch on a surface with canonical class -H and chi(O) = 1 reads
 
 always an integer on this lattice.  Global sections are computed by base-locus
 peeling along (-1)-curves: whenever D.C < 0 for an exceptional curve C, the
-curve C is in the base locus of |D| and h0(D) = h0(D - C).  The recursion
-terminates because D.H drops by one at each step, and it bottoms out at
+curve C is in the base locus of |D| and h0(D) = h0(D - C).  The peeling
+terminates because D.H drops at each step, and it bottoms out at
 
 * D.H < 0: no sections (H is ample),
 * D.H = 0: only the trivial class has a section,
@@ -83,18 +83,30 @@ def is_nef(d: DivClass) -> bool:
     return all(intersect(d, c.cls) >= 0 for c in enumerate_exceptional())
 
 
-@lru_cache(maxsize=None)
+H0_CACHE_SIZE = 1 << 13  # answers kept for repeated h0 queries, not for peeled classes
+
+
+@lru_cache(maxsize=H0_CACHE_SIZE)
 def h0(d: DivClass) -> int:
-    """Dimension of global sections, by base-locus peeling."""
-    deg = intersect(d, H)
-    if deg < 0:
-        return 0
-    if deg == 0:
-        return 1 if d.is_zero() else 0
-    for curve in enumerate_exceptional():
-        if intersect(d, curve.cls) < 0:
-            return h0(d - curve.cls)
-    return chi_line(d)  # nef: higher cohomology vanishes
+    """Dimension of global sections, by base-locus peeling.
+
+    Each step removes the first curve C with D.C = -k < 0 at its full
+    multiplicity k, since (D - kC).C = 0, so the loop runs at most D.H times.
+    """
+    curves = enumerate_exceptional()
+    while True:
+        deg = intersect(d, H)
+        if deg < 0:
+            return 0
+        if deg == 0:
+            return 1 if d.is_zero() else 0
+        for curve in curves:
+            k = -intersect(d, curve.cls)
+            if k > 0:
+                d = d - k * curve.cls
+                break
+        else:
+            return chi_line(d)  # nef: higher cohomology vanishes
 
 
 def h2(d: DivClass) -> int:

@@ -1,4 +1,4 @@
-"""Small exact linear algebra over the integers and over the field with two elements.
+"""Small exact linear algebra over the integers.
 
 Matrices are lists of rows of Python ints, so nothing here ever overflows or
 rounds.  The workhorse is a column echelon reduction H = M*U with U unimodular,
@@ -241,30 +241,3 @@ def smith_elementary_divisors(m: Matrix) -> list[int]:
         divisors.append(abs(a[t][t]))
         t += 1
     return divisors
-
-
-def gf2_solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a*x = b over the two-element field, or None."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    aug = [[a[i][j] & 1 for j in range(cols)] + [b[i] & 1] for i in range(rows)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                aug[i] = [x ^ y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    x = [0] * cols
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][cols]
-    return x

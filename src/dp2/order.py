@@ -2,15 +2,16 @@
 
 The order is A = O_Y + O_Y(E - E')_sigma for a pair of disjoint exceptional
 curves; pushing forward along the double cover gives a maximal quaternion
-order on the plane ramified on the branch quartic.  The standard gauge takes
-E = E1 and E' = C12, so sigma(E') = L12 and the invertible summand is
-O(E1 - C12).  Writing L for that summand's class, the three recurring
-first Chern classes are
+order on the plane ramified on the branch quartic.  An ``OrderModel`` holds
+the gauge (E, E') and derives everything else from it; ``standard_model()``
+is the gauge (E1, C12).  Writing L for the class E - E' of the invertible
+summand, the three recurring first Chern classes are
 
     c1(A) = L,   c1(E_t) = L + H = F,   c1(A x O(H)) = L + 2H,
 
 where E_t runs over the rank-2 modules with c2 = 1 parametrised by the
-genus-2 moduli curve.
+genus-2 moduli curve.  Its six branch points carry split modules, one for
+each reducible fibre of the conic bundle |F|.
 
 Nothing here touches the sheaf of algebras itself.  Every module-level Ext
 is reduced to line-bundle cohomology on Y through three exact mechanisms:
@@ -30,7 +31,7 @@ right-orthogonal to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import reporting
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
@@ -44,9 +45,9 @@ from .picard import (
     H,
     classify,
     conic_through,
+    enumerate_exceptional,
     format_divisor,
     intersect,
-    line_through,
 )
 from .reporting import ClaimReport
 
@@ -61,8 +62,6 @@ __all__ = [
     "decomposition_solve",
     "hom_vanishing_by_det",
     "serre_twist",
-    "ramification_split",
-    "ramification_generator",
     "replay_orthogonality",
     "replay_exceptional",
 ]
@@ -119,6 +118,28 @@ class OrderModel:
     def module_char(self) -> ChernChar:
         """ch of the moduli objects: rank 2, c1 = F, c2 = 1."""
         return ch_of(2, self.f, 1)
+
+    @cached_property
+    def ramification(self) -> tuple[tuple[DivClass, SplitBundle], ...]:
+        """The six (generator D, split restriction of A x O(D)) pairs over the branch points.
+
+        The splits are the reducible fibres A + B = F of the conic bundle |F|.
+        A (-1)-curve C is a fibre component exactly when C.F = 0, because
+        (F - C)^2 = -1 - 2 F.C; its partner F - C is then a (-1)-curve too.
+        Entry 1 is (E, E + sigma(E')).  Each other fibre enters as
+        (G, (F - G) + G) for its component G that comes first in census
+        order, and these five are sorted by G.
+        """
+        f = self.f
+        e, partner = self.e.cls, self.sigma_eprime.cls
+        entries = [(e, SplitBundle.of(e, partner))]
+        seen = {e, partner}
+        for curve in enumerate_exceptional():
+            g = curve.cls
+            if g not in seen and intersect(g, f) == 0:
+                seen.add(f - g)
+                entries.append((g, SplitBundle.of(f - g, g)))
+        return tuple(entries)
 
 
 @lru_cache(maxsize=1)
@@ -274,26 +295,6 @@ def hom_vanishing_by_det(c1_src: DivClass, c1_tgt: DivClass) -> bool:
 def serre_twist(x: ChernChar) -> ChernChar:
     """Numerical Serre twist: multiply by ch O(-H), mirroring x -> omega_A x."""
     return mult(x, ch_line(-H))
-
-
-def ramification_generator(i: int) -> DivClass:
-    """The class D with split module A x O(D) sitting over the i-th branch point."""
-    if not 1 <= i <= 6:
-        raise ValueError(f"branch point index out of range: {i}")
-    return E(1) if i == 1 else E(i + 1)
-
-
-def ramification_split(i: int) -> SplitBundle:
-    """The split rank-2 restriction over the i-th branch point of the moduli curve.
-
-    In the standard gauge these are O(E1) + O(L12) for i = 1 and
-    O(L_{2,i+1}) + O(E_{i+1}) for i = 2..6 (indices normalised increasing).
-    """
-    if not 1 <= i <= 6:
-        raise ValueError(f"branch point index out of range: {i}")
-    if i == 1:
-        return SplitBundle.of(E(1), line_through(1, 2))
-    return SplitBundle.of(line_through(2, i + 1), E(i + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -180,17 +180,17 @@ def _witness_info(d: DivClass) -> dict[str, Any]:
             "product": None if w is None else intersect(d, w)}
 
 
-def _h2_of_module() -> int:
+def _h2_of_module(model: order.OrderModel) -> int:
     # two squeezes: first through the point sequence, then the module extension
-    twist = cohom.les_solve([0, None, cohom.h2(F)])  # H1(O_p) -> H2(I_p F) -> H2(F)
+    twist = cohom.les_solve([0, None, cohom.h2(model.f)])  # H1(O_p) -> H2(I_p F) -> H2(F)
     ext = cohom.les_solve([cohom.h2(ZERO), None, twist.entry(1)])
     return ext.entry(1)
 
 
-def _ex2_conclusion() -> dict[str, int]:
+def _ex2_conclusion(model: order.OrderModel) -> dict[str, int]:
     # Ext^2(O(F), I_p F) squeezed between Ext^1(F, O_p) = 0 and Ext^2(F, F) = h2(O)
     sq = cohom.les_solve([0, None, cohom.h2(ZERO)])
-    ext2_f_o = cohom.h2(-F)  # Serre dual of h0(F - H)
+    ext2_f_o = cohom.h2(-model.f)  # Serre dual of h0(F - H)
     # Ext^2(O(F), M) sits between Ext^2(F, O) and Ext^2(F, I_p F)
     ext2_f_m = cohom.les_solve([ext2_f_o, None, sq.entry(1)]).entry(1)
     # right exactness: Ext^2(O(F), M) -> Ext^2(I_p F, M) -> 0
@@ -203,14 +203,13 @@ def _ch_payload(x: chern.ChernChar) -> dict[str, Any]:
     return {"rank": x.rank, "c1": list(x.c.coeffs), "ch2_times_2": x.s2}
 
 
-def _ck_extension() -> dict[str, Any]:
-    total = chern.chern_of_extension(chern.CH_O, chern.ch_ideal_point_twist(F))
+def _ck_extension(model: order.OrderModel) -> dict[str, Any]:
+    total = chern.chern_of_extension(chern.CH_O, chern.ch_ideal_point_twist(model.f))
     return {"rank": total.rank, "c1_is_F": total.c == F, "c2": total.c2,
             "ch2_times_2": total.s2}
 
 
-def _minimal_c2_table() -> dict[str, int]:
-    model = order.standard_model()
+def _minimal_c2_table(model: order.OrderModel) -> dict[str, int]:
     return {
         "n0_bogomolov_bound": chern.bogomolov_min_c2(model.lclass),
         "n0_minimum": chern.MINIMAL_C2[0],
@@ -219,8 +218,7 @@ def _minimal_c2_table() -> dict[str, int]:
     }
 
 
-def _model_payload() -> dict[str, Any]:
-    model = order.standard_model()
+def _model_payload(model: order.OrderModel) -> dict[str, Any]:
     return {
         "e": model.e.name,
         "eprime": model.eprime.name,
@@ -233,43 +231,42 @@ def _model_payload() -> dict[str, Any]:
     }
 
 
-def _ramification_payload() -> dict[str, Any]:
+def _ramification_payload(model: order.OrderModel) -> dict[str, Any]:
     names = []
     slopes_one = True
     totals_ok = True
     induced_match = True
-    for i in range(1, 7):
-        split = order.ramification_split(i)
+    for generator, split in model.ramification:
         names.append([picard.format_divisor(s) for s in split.summands])
         slopes_one &= split.slopes == (1, 1)
         totals_ok &= (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
-        induced = order.induced_split(order.ramification_generator(i))
+        induced = order.induced_split(generator, model)
         induced_match &= set(split.summands) == set(induced.summands)
     return {"splits": names, "slopes_all_one": slopes_one,
             "chern_all_2_2_1": totals_ok, "induced_match": induced_match}
 
 
-def _case_iv_triple(i: int, j: int) -> list[int]:
-    src = order.ramification_generator(i)
-    tgt = order.induced_split(order.ramification_generator(j))
+def _case_iv_triple(model: order.OrderModel, i: int, j: int) -> list[int]:
+    src = model.ramification[i - 1][0]
+    tgt = order.induced_split(model.ramification[j - 1][0], model)
     return list(order.ext_a_induced(src, tgt).a_triple())
 
 
-def _ext_y_between(i: int, j: int) -> list[int]:
-    return list(order.ext_y_split(order.ramification_split(i),
-                                  order.ramification_split(j)).y_triple())
+def _ext_y_between(model: order.OrderModel, i: int, j: int) -> list[int]:
+    return list(order.ext_y_split(model.ramification[i - 1][1],
+                                  model.ramification[j - 1][1]).y_triple())
 
 
-def _exta2_payload() -> dict[str, Any]:
-    ext_y = _ext_y_between(1, 2)
+def _exta2_payload(model: order.OrderModel) -> dict[str, Any]:
+    ext_y = _ext_y_between(model, 1, 2)
     table = order.decomposition_solve(tuple(ext_y))
     return {"ext_y": ext_y, "ext2_A_forced": table.ext_a[2],
             "ext2_twisted_forced": table.ext_a_twisted[2]}
 
 
-def _ext01_payload() -> dict[str, Any]:
-    selfpair = _ext_y_between(1, 1)
-    crosspair = _ext_y_between(1, 2)
+def _ext01_payload(model: order.OrderModel) -> dict[str, Any]:
+    selfpair = _ext_y_between(model, 1, 1)
+    crosspair = _ext_y_between(model, 1, 2)
     return {"selfpair_ext0_eq_ext1": selfpair[0] == selfpair[1],
             "crosspair_ext0_eq_ext1": crosspair[0] == crosspair[1],
             "selfpair": selfpair[:2], "crosspair": crosspair[:2]}
@@ -283,8 +280,8 @@ def _ks_case_ii_payload() -> dict[str, Any]:
     return {"complement_ext1": table.ext_a_twisted[1]}
 
 
-def _ks_split_payload() -> dict[str, Any]:
-    ext_y = _ext_y_between(1, 1)
+def _ks_split_payload(model: order.OrderModel) -> dict[str, Any]:
+    ext_y = _ext_y_between(model, 1, 1)
     table = order.decomposition_solve(tuple(ext_y), (None, 1, None))
     return {"ext_y": ext_y, "complement_ext1": table.ext_a_twisted[1]}
 
@@ -312,7 +309,7 @@ def _from_chain(chain: Callable[[], dict[str, ClaimReport]], claim_id: str) -> C
 def _registry() -> list[Claim]:
     e3e1 = E(3) - E(1)
     l23e1 = line_through(2, 3) - E(1)
-    model_l = F - H  # E1 - C12
+    model = order.standard_model()
 
     claims = [
         # --- lattice census -------------------------------------------------
@@ -436,10 +433,10 @@ def _registry() -> list[Claim]:
                0, lambda: cohom.chi_line(l23e1)),
         _claim("CHI.FH", "chi(F - H) = 0",
                "Euler characteristic input of the connecting-Ext computation",
-               0, lambda: cohom.chi_line(F - H)),
+               0, lambda: cohom.chi_line(model.f - H)),
         _claim("CHI.LCLASS", "chi(E - E') = 0",
                "Euler characteristic input of the exceptionality computation",
-               0, lambda: cohom.chi_line(model_l)),
+               0, lambda: cohom.chi_line(model.lclass)),
         _claim("VAN.E3E1", "E3 - E1 has no cohomology at all",
                "vanishing table of the branch-pair computation",
                [0, 0, 0], lambda: _dims_list(e3e1)),
@@ -448,16 +445,16 @@ def _registry() -> list[Claim]:
                [0, 0, 0], lambda: _dims_list(l23e1)),
         _claim("H0.MFMH", "|-F - H| is empty",
                "vanishing input for h2 of the moduli modules",
-               0, lambda: cohom.h0(-F - H)),
+               0, lambda: cohom.h0(-model.f - H)),
         _claim("H0.FMH", "|F - H| is empty",
                "vanishing input for the connecting Ext",
-               0, lambda: cohom.h0(F - H)),
+               0, lambda: cohom.h0(model.f - H)),
         _claim("H0.EE", "|E - E'| is empty",
                "vanishing input for exceptionality of the twisted order",
-               0, lambda: cohom.h0(model_l)),
+               0, lambda: cohom.h0(model.lclass)),
         _claim("H0.EPEH", "|E' - E - H| is empty",
                "vanishing input for exceptionality of the twisted order",
-               0, lambda: cohom.h0(-model_l - H)),
+               0, lambda: cohom.h0(-model.lclass - H)),
         _claim("H0.MH", "|-H| is empty",
                "vanishing input of the orthogonality chain",
                0, lambda: cohom.h0(-H)),
@@ -469,111 +466,111 @@ def _registry() -> list[Claim]:
                0, lambda: cohom.h0(E(1) - line_through(2, 3) - H)),
         _claim("H2.F", "h2(F) = 0",
                "vanishing of top cohomology of the fibre class",
-               0, lambda: cohom.h2(F)),
+               0, lambda: cohom.h2(model.f)),
         _claim("WIT.MFH", "H witnesses that -F - H is not effective (product -4)",
                "non-effectivity via an irreducible class of nonnegative square",
-               {"witness": "H", "product": -4}, lambda: _witness_info(-F - H)),
+               {"witness": "H", "product": -4}, lambda: _witness_info(-model.f - H)),
         _claim("WIT.FMH", "L witnesses that F - H is not effective (product -2)",
                "non-effectivity via the pulled-back line",
-               {"witness": "L", "product": -2}, lambda: _witness_info(F - H)),
+               {"witness": "L", "product": -2}, lambda: _witness_info(model.f - H)),
         _claim("WIT.E3E1", "L - E1 witnesses that E3 - E1 is not effective (product -1)",
                "non-effectivity via the strict transform of a line through one point",
                {"witness": "L-E1", "product": -1}, lambda: _witness_info(e3e1)),
         _claim("TWIST.H2F", "h2 of the ideal-twisted fibre class vanishes",
                "top cohomology through the point sequence",
-               0, lambda: cohom.cohom_ideal_twist(F).h2),
+               0, lambda: cohom.cohom_ideal_twist(model.f).h2),
         _claim("TWIST.F", "generic ideal twist of the fibre class has dimensions (1, 0, 0)",
                "derived",
-               [1, 0, 0], lambda: list(cohom.cohom_ideal_twist(F).as_tuple())),
+               [1, 0, 0], lambda: list(cohom.cohom_ideal_twist(model.f).as_tuple())),
         _claim("LES.H2SQ", "the point sequence squeezes h2(I_p F) to 0",
                "exact-sequence squeeze for top cohomology",
-               0, lambda: cohom.les_solve([0, None, cohom.h2(F)]).entry(1)),
+               0, lambda: cohom.les_solve([0, None, cohom.h2(model.f)]).entry(1)),
         _claim("LES.EX2SQ", "the point sequence squeezes Ext^2(O(F), I_p F) to 0",
                "exact-sequence squeeze in the branch-pair computation",
                0, lambda: cohom.les_solve([0, None, cohom.h2(ZERO)]).entry(1)),
         _claim("EX2.EXT2FO", "Ext^2(O(F), O) vanishes (Serre dual of |F - H|)",
                "second Ext input of the branch-pair computation",
-               0, lambda: cohom.h2(-F)),
+               0, lambda: cohom.h2(-model.f)),
         _claim("EX2.CONC", "Ext^2 out of the ideal twist into any module vanishes",
                "conclusion of the second-Ext vanishing chain",
                {"ext2_F_ideal": 0, "ext2_F_module": 0, "ext2_ideal_module": 0},
-               _ex2_conclusion),
+               lambda: _ex2_conclusion(model)),
         _claim("H2.M", "the moduli modules have no top cohomology",
                "top-cohomology vanishing for the moduli modules",
-               0, _h2_of_module),
+               0, lambda: _h2_of_module(model)),
 
         # --- Chern characters -------------------------------------------------
         _claim("CH.M1", "ch of a moduli module is 2 + [F] + [-1]",
                "Chern character of the rank-2 modules",
                {"rank": 2, "c1": list(F.coeffs), "ch2_times_2": -2},
-               lambda: _ch_payload(chern.ch_of(2, F, 1))),
+               lambda: _ch_payload(model.module_char())),
         _claim("CH.M0STAR", "ch of the dual is 2 - [F] + [-1]",
                "Chern character of the dual module",
                {"rank": 2, "c1": list((-F).coeffs), "ch2_times_2": -2},
-               lambda: _ch_payload(chern.dual(chern.ch_of(2, F, 1)))),
+               lambda: _ch_payload(chern.dual(model.module_char()))),
         _claim("CH.PROD", "the product character is 4 + [0] + [-4]",
                "product of the dual and direct characters",
                {"rank": 4, "c1": list(ZERO.coeffs), "ch2_times_2": -8},
-               lambda: _ch_payload(chern.mult(chern.dual(chern.ch_of(2, F, 1)),
-                                              chern.ch_of(2, F, 1)))),
+               lambda: _ch_payload(chern.mult(chern.dual(model.module_char()),
+                                              model.module_char()))),
         _claim("CHI.ZERO", "the Euler pairing of two moduli modules vanishes",
                "Euler pairing of the rank-2 moduli modules",
-               0, lambda: chern.euler_pairing(chern.ch_of(2, F, 1), chern.ch_of(2, F, 1))),
+               0, lambda: chern.euler_pairing(model.module_char(), model.module_char())),
         _claim("CHI.OO", "chi(O, O) = 1",
                "Euler characteristic of the structure sheaf",
                1, lambda: chern.euler_pairing(chern.CH_O, chern.CH_O)),
         _claim("CK.CHERN", "the extension O -> M -> I_p(F) has total ch (2, F, c2 = 1)",
                "module structure as an extension by an ideal-sheaf twist",
                {"rank": 2, "c1_is_F": True, "c2": 1, "ch2_times_2": -2},
-               _ck_extension),
+               lambda: _ck_extension(model)),
         _claim("DISC.MINC2",
                "minimal second Chern classes: 0 for the order's own determinant, "
                "1 for the H-twist (the semistability bound alone only gives 0)",
                "minimal second Chern classes of order line bundles",
                {"n0_bogomolov_bound": 0, "n0_minimum": 0,
                 "n1_bogomolov_bound": 0, "n1_minimum": 1},
-               _minimal_c2_table),
+               lambda: _minimal_c2_table(model)),
         _claim("DISC.DELTA", "the discriminant of (rank 2, c1 = F, c2 = 1) is 4",
-               "derived", 4, lambda: chern.discriminant(2, F, 1)),
+               "derived", 4, lambda: chern.discriminant(2, model.f, 1)),
         _claim("C1.N0", "c1 = E - E' satisfies the determinant constraint with n = 0",
                "allowed first Chern classes of order line bundles",
-               0, lambda: chern.c1_constraint(model_l)),
+               0, lambda: chern.c1_constraint(model.lclass, model.lclass)),
         _claim("C1.N1", "c1 = F satisfies the determinant constraint with n = 1",
                "first Chern class of the moduli modules",
-               1, lambda: chern.c1_constraint(F)),
+               1, lambda: chern.c1_constraint(model.f, model.lclass)),
         _claim("C1.H.INVALID", "H itself violates the determinant constraint",
-               "derived", None, lambda: chern.c1_constraint(H)),
+               "derived", None, lambda: chern.c1_constraint(H, model.lclass)),
 
         # --- the order layer --------------------------------------------------
         _claim("ORD.MODEL", "the standard gauge: disjoint pair (E1, C12) with F = E1 + L12",
                "normal form of the order after contracting suitably",
                {"e": "E1", "eprime": "C12", "sigma_eprime": "L12", "disjoint": True,
                 "f_is_F": True, "f_square": 0, "f_degree": 2, "c1_constraint_n": 1},
-               _model_payload),
+               lambda: _model_payload(model)),
         _claim("RAM.SPLITS",
                "the six split modules over the branch points of the moduli curve",
                "split restrictions at the ramification points",
                {"splits": [["E1", "L12"], ["L23", "E3"], ["L24", "E4"],
                            ["L25", "E5"], ["L26", "E6"], ["L27", "E7"]],
                 "slopes_all_one": True, "chern_all_2_2_1": True, "induced_match": True},
-               _ramification_payload),
+               lambda: _ramification_payload(model)),
         _claim("EXTA1.IV", "Ext_A between the first two branch-point modules vanishes",
                "branch-pair computation, fully worked case",
-               [0, 0, 0], lambda: _case_iv_triple(1, 2)),
+               [0, 0, 0], lambda: _case_iv_triple(model, 1, 2)),
         _claim("EXTA1.IV.B", "Ext_A between branch-point modules 1 and 3 vanishes",
-               "derived", [0, 0, 0], lambda: _case_iv_triple(1, 3)),
+               "derived", [0, 0, 0], lambda: _case_iv_triple(model, 1, 3)),
         _claim("EXTA1.IV.C", "Ext_A between branch-point modules 2 and 3 vanishes",
-               "derived", [0, 0, 0], lambda: _case_iv_triple(2, 3)),
+               "derived", [0, 0, 0], lambda: _case_iv_triple(model, 2, 3)),
         _claim("EXTA2.ZERO",
                "vanishing Y-level Ext forces both A-level summands to vanish",
                "degree-2 vanishing through the endomorphism decomposition",
                {"ext_y": [0, 0, 0], "ext2_A_forced": 0, "ext2_twisted_forced": 0},
-               _exta2_payload),
+               lambda: _exta2_payload(model)),
         _claim("EXT01.EQ", "ext^0 = ext^1 at the Y level for module pairs",
                "equality of Hom and first Ext dimensions for the moduli modules",
                {"selfpair_ext0_eq_ext1": True, "crosspair_ext0_eq_ext1": True,
                 "selfpair": [2, 2], "crosspair": [0, 0]},
-               _ext01_payload),
+               lambda: _ext01_payload(model)),
         _claim("KS.CASEII",
                "(conditional on cited stability) Y-level ext^1 = 1 with tangent input 1 "
                "forces the untwisted A-level ext^1 to 0",
@@ -583,7 +580,8 @@ def _registry() -> list[Claim]:
                "at a branch point, ext^1_Y = 2 and tangent input 1 leave exactly one "
                "twisted first-order deformation",
                "tangent-space bookkeeping at the branch points",
-               {"ext_y": [2, 2, 0], "complement_ext1": 1}, _ks_split_payload),
+               {"ext_y": [2, 2, 0], "complement_ext1": 1},
+               lambda: _ks_split_payload(model)),
         _from_chain(_exceptional_reports, "ORD.EXC.HL"),
         _from_chain(_exceptional_reports, "ORD.EXC"),
         _from_chain(_exceptional_reports, "ORD.CANON"),

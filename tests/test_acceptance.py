@@ -180,14 +180,15 @@ def test_criterion_8_order_layer():
                                     "ORTH.EXT2HO", "L53", "ORTH.I1"]
     assert all(r.passed for r in orth)
 
+    ramification = order.standard_model().ramification
     pairs = [(1, 2), (1, 3), (2, 3)]
     for i, j in pairs:
-        triple = order.ext_a_induced(order.ramification_generator(i),
-                                     order.induced_split(order.ramification_generator(j)))
+        triple = order.ext_a_induced(ramification[i - 1][0],
+                                     order.induced_split(ramification[j - 1][0]))
         assert triple.a_triple() == (0, 0, 0)
 
-    self_ext = order.ext_y_split(order.ramification_split(1),
-                                 order.ramification_split(1)).y_triple()
+    first = ramification[0][1]
+    self_ext = order.ext_y_split(first, first).y_triple()
     assert self_ext == (2, 2, 0)
     table = order.decomposition_solve(self_ext, (None, 1, None))
     assert table.ext_a_twisted[1] == 1

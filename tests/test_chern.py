@@ -5,7 +5,6 @@ import pytest
 from dp2.chern import (
     CH_O,
     MINIMAL_C2,
-    STANDARD_ORDER_C1,
     ChernChar,
     TODD,
     bogomolov_min_c2,
@@ -20,7 +19,8 @@ from dp2.chern import (
     mult,
 )
 from dp2.cohom import chi_line
-from dp2.picard import ZERO, DivClass, E, F, H, L, intersect, line_through
+from dp2.order import standard_model
+from dp2.picard import ZERO, DivClass, E, F, H, L, conic_through, intersect, line_through
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ def test_euler_pairing_serre_symmetry(rng):
 
 def test_discriminant_and_bound():
     assert discriminant(2, F, 1) == 4
-    assert bogomolov_min_c2(STANDARD_ORDER_C1) == 0  # c1^2 = -2
+    assert bogomolov_min_c2(standard_model().lclass) == 0  # c1^2 = -2
     assert bogomolov_min_c2(F) == 0
     assert bogomolov_min_c2(H) == 1  # H^2 = 2
     assert MINIMAL_C2 == {0: 0, 1: 1}
@@ -133,12 +133,13 @@ def test_module_extension_chern():
 
 
 def test_c1_constraint():
-    assert STANDARD_ORDER_C1 == E(1) + line_through(1, 2) - H  # E1 - C12
-    assert c1_constraint(STANDARD_ORDER_C1) == 0
-    assert c1_constraint(F) == 1
-    assert c1_constraint(H) is None
-    assert c1_constraint(ZERO) is None
+    lclass = standard_model().lclass
+    assert lclass == E(1) - conic_through(1, 2) == E(1) + line_through(1, 2) - H
+    assert c1_constraint(lclass, lclass) == 0
+    assert c1_constraint(F, lclass) == 1
+    assert c1_constraint(H, lclass) is None
+    assert c1_constraint(ZERO, lclass) is None
     for n in range(-4, 5):
-        assert c1_constraint(STANDARD_ORDER_C1 + n * H) == n
+        assert c1_constraint(lclass + n * H, lclass) == n
     assert c1_constraint(L, lclass=L) == 0
     assert c1_constraint(L + 2 * H, lclass=L) == 2

@@ -62,6 +62,12 @@ def test_cohom_dims_raw_vector(capsys):
     assert payload["h0"] == 3
 
 
+def test_cohom_dims_deep_multiple(capsys):
+    code, out, err = run(capsys, "cohom", "dims", "900E1")
+    assert code == 0 and err == ""
+    assert out == "h(900E1) = (1, 404550, 0), chi = -404549\n"
+
+
 def test_cohom_h0_and_witness(capsys):
     code, out, err = run(capsys, "cohom", "h0", "H")
     assert code == 0 and out.strip() == "3"

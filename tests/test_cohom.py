@@ -79,6 +79,23 @@ def test_h0_of_polarisation():
     assert h0(2 * H) == chi_line(2 * H) == 7
 
 
+def test_h0_of_deep_multiples_of_a_curve():
+    # chi(kC) = 1 - k(k-1)/2 and kC is rigid, far past the interpreter's
+    # recursion limit; D7 is the last curve the peeling scans
+    for c in (E(1), enumerate_exceptional()[-1].cls):
+        for k in range(1, 2001):
+            assert h0(k * c) == 1
+            assert h1(k * c) == k * (k - 1) // 2
+    for c in enumerate_exceptional():
+        assert (h0(2000 * c.cls), h1(2000 * c.cls)) == (1, 1999000)
+
+
+def test_h0_caches_only_its_own_calls():
+    h0.cache_clear()
+    assert h0(900 * E(1)) == 1
+    assert h0.cache_info().currsize == 1
+
+
 def test_vanishing_table():
     for name in ["E3-E1", "L23-E1"]:
         d = parse_divisor(name)

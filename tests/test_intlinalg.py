@@ -148,21 +148,3 @@ def test_solver_keeps_its_echelon_data_private():
     m[0][0] = 5
     assert solve_m([4, 9]) == [2, 3]
     assert solve_m([1, 3]) is None
-
-
-def test_gf2_solve_against_brute_force(rng):
-    for _ in range(200):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        a = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        b = [rng.randint(0, 1) for _ in range(rows)]
-        got = intlinalg.gf2_solve(a, b)
-        solutions = []
-        for mask in range(1 << cols):
-            x = [(mask >> i) & 1 for i in range(cols)]
-            if all(sum(a[i][j] * x[j] for j in range(cols)) % 2 == b[i]
-                   for i in range(rows)):
-                solutions.append(x)
-        if solutions:
-            assert got in solutions
-        else:
-            assert got is None

@@ -16,8 +16,6 @@ from dp2.order import (
     ext_y_split,
     hom_vanishing_by_det,
     induced_split,
-    ramification_generator,
-    ramification_split,
     replay_exceptional,
     replay_orthogonality,
     serre_twist,
@@ -176,29 +174,30 @@ def test_ramification_splits():
         ("L26", "E6"),
         ("L27", "E7"),
     ]
-    for i in range(1, 7):
-        split = ramification_split(i)
-        names = tuple(classify(s).name for s in split.summands)
-        assert names == expected[i - 1]
+    ramification = standard_model().ramification
+    assert [classify(g).name for g, _ in ramification] == ["E1", "E3", "E4", "E5", "E6", "E7"]
+    assert [tuple(classify(s).name for s in split.summands)
+            for _, split in ramification] == expected
+    for generator, split in ramification:
         assert split.slopes == (1, 1)
         assert (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
-        induced = induced_split(ramification_generator(i))
+        induced = induced_split(generator)
         assert set(split.summands) == set(induced.summands)
-    with pytest.raises(ValueError):
-        ramification_split(7)
 
 
 def test_ext_alternating_sum_matches_euler_pairing():
-    for i, j in itertools.product(range(1, 7), repeat=2):
-        src, tgt = ramification_split(i), ramification_split(j)
+    splits = [split for _, split in standard_model().ramification]
+    for src, tgt in itertools.product(splits, repeat=2):
         table = ext_y_split(src, tgt).y_triple()
         assert table[0] - table[1] + table[2] == euler_pairing(src.ch(), tgt.ch())
 
 
 def test_ext_between_branch_modules():
-    self_table = ext_y_split(ramification_split(1), ramification_split(1)).y_triple()
+    ramification = standard_model().ramification
+    first, second = ramification[0][1], ramification[1][1]
+    self_table = ext_y_split(first, first).y_triple()
     assert self_table == (2, 2, 0)
-    cross_table = ext_y_split(ramification_split(1), ramification_split(2)).y_triple()
+    cross_table = ext_y_split(first, second).y_triple()
     assert cross_table == (0, 0, 0)
     # ext0 = ext1 at the Y level in both cases
     assert self_table[0] == self_table[1]
@@ -206,10 +205,41 @@ def test_ext_between_branch_modules():
 
 
 def test_case_iv_all_branch_pairs():
-    for i, j in itertools.permutations(range(1, 7), 2):
-        triple = ext_a_induced(ramification_generator(i),
-                               induced_split(ramification_generator(j))).a_triple()
+    generators = [g for g, _ in standard_model().ramification]
+    for src, tgt in itertools.permutations(generators, 2):
+        triple = ext_a_induced(src, induced_split(tgt)).a_triple()
         assert triple == (0, 0, 0)
+
+
+def _all_disjoint_gauges():
+    curves = enumerate_exceptional()
+    return [OrderModel(a, b) for a in curves for b in curves
+            if a != b and intersect(a.cls, b.cls) == 0]
+
+
+def test_ramification_derived_for_every_gauge():
+    # the six reducible fibres of |F| in each of the 56 * 27 ordered disjoint gauges
+    models = _all_disjoint_gauges()
+    assert len(models) == 1512
+    for model in models:
+        ramification = model.ramification
+        assert len(ramification) == 6
+        assert ramification[0] == (model.e.cls, SplitBundle.of(model.e.cls,
+                                                               model.sigma_eprime.cls))
+        for generator, split in ramification:
+            assert split.slopes == (1, 1)
+            assert (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
+            assert split.c1 == model.f
+            assert set(split.summands) == set(induced_split(generator, model).summands)
+
+
+def test_branch_point_exts_for_sampled_gauges(rng):
+    for model in rng.sample(_all_disjoint_gauges(), 25):
+        ramification = model.ramification
+        for (src, _), (tgt, _) in itertools.permutations(ramification, 2):
+            assert ext_a_induced(src, induced_split(tgt, model)).a_triple() == (0, 0, 0)
+        for _, split in ramification:
+            assert ext_y_split(split, split).y_triple() == (2, 2, 0)
 
 
 def test_replay_exceptional_reports():

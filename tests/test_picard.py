@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -198,3 +200,14 @@ def test_format_divisor():
     assert format_divisor(conic_through(1, 2)) == "C12"
     assert format_divisor(ZERO) == "0"
     assert format_divisor(E(1) - E(2)) == "E1-E2"
+
+
+def test_importing_picard_loads_no_other_layer():
+    # the package root re-exports nothing, so a submodule import stays small
+    script = ("import sys, dp2.picard\n"
+              "print(sorted({'dp2.replay', 'dp2.order', 'dp2.cohom', 'dp2.chern'}"
+              " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dp2 import replay
 from dp2.errors import UnknownClaim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +90,15 @@ def test_replay_runs_without_numpy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] 0"
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ([], ROOT / "perfbench" / "data" / "replay_all.txt"),
+    (["--json"], ROOT / "tests" / "data" / "replay_all.jsonl"),
+])
+def test_replay_all_matches_frozen_output(flags, golden):
+    # a cold `dp2 replay all` must reproduce the frozen text and JSON byte for byte
+    proc = subprocess.run([sys.executable, "-m", "dp2", "replay", "all", *flags],
+                          capture_output=True, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden.read_bytes()

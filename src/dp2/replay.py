@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from . import chern, cohom, galois, intlinalg, order, picard, reporting
-from .errors import NotACocycle, UnknownClaim
+from .errors import UnknownClaim
 from .galois import CohClass, class_of, is_coboundary, sigma
 from .picard import (
     DivClass,
@@ -127,13 +127,9 @@ def _same_lattice(gens_a: list[DivClass], gens_b: list[DivClass]) -> bool:
 
 
 def _all_differences_are_cocycles() -> bool:
-    curves = _curve_classes()
-    try:
-        for a, b in itertools.product(curves, repeat=2):
-            class_of(a - b)
-    except NotACocycle:
-        return False
-    return True
+    # (1 + sigma)(a - b) = (1 + sigma)a - (1 + sigma)b, so all 3136 differences
+    # are cocycles exactly when the 56 images sigma(C) + C are one class
+    return len({sigma(c) + c for c in _curve_classes()}) == 1
 
 
 def _all_63_represented() -> bool:

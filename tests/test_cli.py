@@ -1,6 +1,9 @@
+import collections
 import json
+import random
 
 from dp2.cli import main
+from dp2.picard import parse_divisor
 
 
 def run(capsys, *argv):
@@ -171,3 +174,72 @@ def test_replay_unknown_claim(capsys):
 def test_bad_divisor_is_usage_error(capsys):
     code, out, err = run(capsys, "cohom", "dims", "Q5")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: every input must end in a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_TOKENS = (["H", "K", "L", "F", "0"] + [f"E{i}" for i in range(1, 8)]
+           + [f"D{i}" for i in range(1, 8)]
+           + [f"{kind}{i}{j}" for kind in "LC" for i in range(1, 8)
+              for j in range(1, 8) if i != j])
+
+
+def _random_divisor(rng):
+    if rng.random() < 0.15:
+        return ",".join(str(rng.randint(-6, 6)) for _ in range(8))
+    terms = []
+    for pos in range(rng.randint(1, 4)):
+        sign = rng.choice(["+", "-"]) if pos else rng.choice(["", "-"])
+        mult = rng.choice(["", "", str(rng.randint(0, 9)), f"{rng.randint(1, 9)}*"])
+        terms.append(f"{sign}{mult}{rng.choice(_TOKENS)}")
+    text = "".join(terms)
+    parse_divisor(text)  # the generator only emits grammar-accepted sums
+    return text
+
+
+def _random_les(rng):
+    pieces = ["?", "0", "1", "3", "12", "-1", "", "x", "2.5", " 4 ", "??"]
+    return ",".join(rng.choice(pieces) for _ in range(rng.randint(1, 7)))
+
+
+def _random_argv(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ["cohom", rng.choice(["dims", "h0", "witness"]), "--", _random_divisor(rng)]
+    if kind == 1:
+        return ["chern", "chi", "--", _random_divisor(rng)]
+    if kind == 2:
+        # half of them differences of two curves, which are cocycles
+        text = (_random_divisor(rng) if rng.random() < 0.5
+                else "-".join(rng.sample(_TOKENS[5:], 2)))
+        return ["galois", "class", "--", text]
+    if kind == 3:
+        splits = [";".join(_random_divisor(rng) for _ in range(rng.randint(1, 3)))
+                  for _ in range(2)]
+        argv = ["order", "ext", f"--src={splits[0]}", f"--tgt={splits[1]}"]
+        return argv + (["--induced"] if rng.random() < 0.3 else [])
+    if kind == 4:
+        triples = [f"{rng.randint(-1, 4)},{_random_divisor(rng)},{rng.randint(-9, 9)}"
+                   for _ in range(2)]
+        return ["chern", "pairing", f"--lhs={triples[0]}", f"--rhs={triples[1]}"]
+    return ["cohom", "les", "--", _random_les(rng)]
+
+
+def test_cli_fuzz_exits_with_documented_codes(capsys):
+    rng = random.Random(31337)
+    codes = collections.Counter()
+    for _ in range(500):
+        argv = _random_argv(rng)
+        if rng.random() < 0.3:
+            argv.insert(2, "--json")  # after the subcommand, before any "--"
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed options with 2
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        codes[code] += 1
+    # the sample reaches answers, domain errors and usage errors
+    assert min(codes[0], codes[1], codes[2]) > 20, codes

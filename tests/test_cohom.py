@@ -20,6 +20,7 @@ from dp2.cohom import (
 from dp2.errors import Infeasible
 from dp2.picard import (
     ZERO,
+    DivClass,
     E,
     F,
     H,
@@ -122,6 +123,44 @@ def test_peeling_invariance(rng, random_classes):
                 assert h0(d) == h0(d - c.cls)
                 checked += 1
     assert checked > 100
+
+
+# W(E7) oracle: the simple roots E_i - E_{i+1} and the Cremona root L - E1 - E2 - E3,
+# each acting by the reflection s(D) = D + (D.a) a, written here with DivClass.dot
+# only, so it shares no code with the peeling
+SIMPLE_ROOTS = [E(i) - E(i + 1) for i in range(1, 7)] + [L - E(1) - E(2) - E(3)]
+
+
+def _reflect(d, root):
+    return d + d.dot(root) * root
+
+
+def test_simple_reflections_are_isometries_fixing_h():
+    basis = [L] + [E(i) for i in range(1, 8)]
+    for root in SIMPLE_ROOTS:
+        assert root.dot(root) == -2 and root.dot(H) == 0
+        assert _reflect(H, root) == H
+        for a in basis:
+            assert _reflect(_reflect(a, root), root) == a
+            for b in basis:
+                assert _reflect(a, root).dot(_reflect(b, root)) == a.dot(b)
+
+
+def test_cohom_dims_invariant_under_w_e7():
+    rng = random.Random(7077)
+    nonzero_h0 = nonzero_h1 = 0
+    for _ in range(500):
+        # L-coordinate in [0, 8] keeps about a fifth of the sample effective
+        d = DivClass((rng.randint(0, 8),) + tuple(rng.randint(-8, 8) for _ in range(7)))
+        moved = d
+        for _ in range(rng.randint(3, 6)):
+            moved = _reflect(moved, rng.choice(SIMPLE_ROOTS))
+        dims = cohom_dims(d)
+        assert cohom_dims(moved) == dims, (d, moved)
+        nonzero_h0 += dims.h0 > 0
+        nonzero_h1 += dims.h1 > 0
+    # the sample reaches effective and non-regular classes, not only h = 0
+    assert nonzero_h0 > 100 and nonzero_h1 > 400
 
 
 def test_h0_monotone_under_adding_curves(random_classes):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from dp2 import replay
+from dp2 import galois, replay
 from dp2.errors import UnknownClaim
+from dp2.galois import sigma
+from dp2.picard import ZERO, L
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,3 +105,39 @@ def test_replay_all_matches_frozen_output(flags, golden):
                           capture_output=True, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden.read_bytes()
+
+
+def _failing_differences(curves):
+    # direct route: apply 1 + sigma to every ordered difference
+    return [(a, b) for a, b in itertools.product(curves, repeat=2)
+            if sigma(a - b) + (a - b) != ZERO]
+
+
+def test_cocycle_claim_agrees_with_every_pair():
+    curves = replay._curve_classes()
+    assert len(curves) == 56
+    assert _failing_differences(curves) == []
+    assert replay.run_one("GAL.EE.COCYCLE").computed is True
+
+
+def test_cocycle_claim_fails_when_a_non_curve_joins(monkeypatch):
+    curves = replay._curve_classes() + [L]
+    monkeypatch.setattr(replay, "_curve_classes", lambda: curves)
+    report = replay.run_one("GAL.EE.COCYCLE")
+    assert report.computed is False and not report.passed
+    assert _failing_differences(curves)
+
+
+def test_cocycle_claim_computes_no_classes(monkeypatch):
+    # the claim decides ker(1 + sigma) membership only; no e-basis coordinates
+    replay.all_claim_ids()  # build the registry first: count only the claim's own calls
+    calls = []
+
+    def counting(d, real=galois.class_of):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(galois, "class_of", counting)
+    monkeypatch.setattr(replay, "class_of", counting)
+    assert replay.run_one("GAL.EE.COCYCLE").computed is True
+    assert calls == []

@@ -27,8 +27,6 @@ from .picard import ZERO, DivClass, H, intersect
 
 __all__ = [
     "ChernChar",
-    "ToddClass",
-    "TODD",
     "ch_of",
     "ch_line",
     "CH_O",
@@ -91,21 +89,14 @@ def mult(x: ChernChar, y: ChernChar) -> ChernChar:
     )
 
 
-@dataclass(frozen=True)
-class ToddClass:
-    """The Todd class 1 + H/2 + [1]; the degree-1 part is stored doubled."""
-
-    c_doubled: DivClass
-    point: int
-
-
-TODD = ToddClass(c_doubled=H, point=1)
-
-
 def euler_pairing(x: ChernChar, y: ChernChar) -> int:
-    """chi(x, y): degree-2 coefficient of dual(x) * y * td, an exact integer."""
+    """chi(x, y): degree-2 coefficient of dual(x) * y * td, an exact integer.
+
+    The Todd class is td = 1 + H/2 + [1], so twice the coefficient is
+    2r + s2 + c.H for (r, c, s2) = dual(x) * y with s2 stored doubled.
+    """
     z = mult(dual(x), y)
-    doubled = 2 * z.rank * TODD.point + z.s2 + intersect(z.c, TODD.c_doubled)
+    doubled = 2 * z.rank + z.s2 + intersect(z.c, H)
     if doubled % 2 != 0:
         raise HalfIntegerLeak(f"pairing of {x!r} and {y!r} is {doubled}/2")
     return doubled // 2
@@ -149,7 +140,5 @@ def c1_constraint(c1: DivClass, lclass: DivClass) -> int | None:
     part O(lclass) are constrained to this one-parameter family.
     """
     rest = c1 - lclass
-    if rest.coeffs[0] % 3 != 0:  # the L-coordinate of H is 3
-        return None
-    n = rest.coeffs[0] // 3
-    return n if rest == n * H else None
+    n, odd = divmod(intersect(rest, H), H.selfint)
+    return n if not odd and rest == n * H else None

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -75,12 +76,13 @@ def _parse_les(text: str) -> list[int | None]:
 
 def _cmd_galois_h1(args) -> int:
     divisors = galois.h1_galois()
+    order = math.prod(divisors)
     if args.json:
         _print_json({"elementary_divisors": divisors,
-                     "order": 1 << len(divisors) if set(divisors) == {2} else None,
+                     "order": order,
                      "generators": [str(galois.e_class(i)) for i in range(1, 7)]})
     else:
-        print(f"H^1 elementary divisors: {divisors} (group order {2 ** len(divisors)})")
+        print(f"H^1 elementary divisors: {divisors} (group order {order})")
         print("generated by e_i = Ei - Ei+1, i = 1..6")
     return 0
 

@@ -151,27 +151,20 @@ def noneffective_witness(d: DivClass) -> DivClass | None:
     return None
 
 
-def cohom_ideal_twist(d: DivClass, generic_point: bool = True) -> CohomDims | tuple[CohomDims, CohomDims]:
-    """Dimensions of an ideal-sheaf twist I_p(D) for a single point p.
+def cohom_ideal_twist(d: DivClass) -> CohomDims:
+    """Dimensions of an ideal-sheaf twist I_p(D) for a generic point p.
 
     The restriction sequence 0 -> I_p(D) -> O(D) -> O_p -> 0 forces
-    h2(I_p(D)) = h2(D) and determines h0/h1 up to whether the evaluation of
-    sections at p is onto (epsilon = 1) or zero (epsilon = 0):
+    h2(I_p(D)) = h2(D), and the evaluation of sections at p settles h0/h1:
 
     * h0(D) = 0: evaluation is zero, so (0, h1(D) + 1, h2(D));
-    * h0(D) > 0 at a generic point: evaluation is onto, so
-      (h0(D) - 1, h1(D), h2(D));
-    * h0(D) > 0 at an arbitrary point: both branches are possible and the
-      pair (epsilon = 1 branch, epsilon = 0 branch) is returned rather than
-      a guess.
+    * h0(D) > 0: at a generic point evaluation is onto, so
+      (h0(D) - 1, h1(D), h2(D)).
     """
     base = cohom_dims(d)
     if base.h0 == 0:
         return CohomDims(0, base.h1 + 1, base.h2)
-    onto = CohomDims(base.h0 - 1, base.h1, base.h2)
-    if generic_point:
-        return onto
-    return (onto, CohomDims(base.h0, base.h1 + 1, base.h2))
+    return CohomDims(base.h0 - 1, base.h1, base.h2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,20 @@ With G of order two acting through sigma, the first group cohomology is
     H^1(G, Pic Y) = ker(1 + sigma) / im(1 - sigma) = (Z/2)^6,
 
 computed here mechanically by integer kernel/column-space reduction and a
-Smith normal form, not copied from the literature.  The module also houses
-the cocycle tests, the coordinates of a cocycle in the basis e_i = Ei - Ei+1,
-and the representation of every nonzero class as a difference of two
-exceptional curves (with a disjoint-pair refinement).
+Smith normal form, not copied from the literature.  The class of a cocycle d
+in the basis e_i = Ei - Ei+1 is read off by one exact integer solve of
+d = sum x_i e_i + (an element of im(1 - sigma)): the x_i mod 2 are its bits.
+That reading is well defined only because H^1 = (Z/2)^6 and the e_i generate
+it, and the derivation checks both once per process.  The module also houses
+the cocycle tests and the representation of every nonzero class as a
+difference of two exceptional curves (with a disjoint-pair refinement).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from . import intlinalg
 from .errors import InternalInconsistency, NotACocycle, TrivialClass
@@ -45,9 +48,7 @@ from .picard import (
 )
 
 __all__ = [
-    "InvolutionAction",
     "CohClass",
-    "GEISER",
     "sigma",
     "printed_sigma_of_line",
     "h_class",
@@ -62,32 +63,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InvolutionAction:
-    """An involutive lattice isometry given by its matrix on (L, E1..E7)."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __call__(self, d: DivClass) -> DivClass:
-        return DivClass(tuple(sum(row[j] * d.coeffs[j] for j in range(RANK))
-                              for row in self.matrix))
-
-
-def _geiser_matrix() -> tuple[tuple[int, ...], ...]:
-    cols = []
-    for j in range(RANK):
-        basis = DivClass(tuple(1 if i == j else 0 for i in range(RANK)))
-        image = intersect(basis, H) * H - basis
-        cols.append(image.coeffs)
-    return tuple(zip(*cols))
-
-
-GEISER = InvolutionAction(_geiser_matrix())
-
-
 def sigma(d: DivClass) -> DivClass:
     """The covering involution: (D.H) H - D."""
-    return GEISER(d)
+    n = intersect(d, H)
+    return DivClass(tuple(n * h - c for h, c in zip(H.coeffs, d.coeffs)))
 
 
 def printed_sigma_of_line() -> DivClass:
@@ -148,12 +127,14 @@ class CohClass:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_rows(action: InvolutionAction) -> intlinalg.Matrix:
-    return [list(row) for row in action.matrix]
-
-
 def _columns(classes: list[DivClass]) -> intlinalg.Matrix:
     return [[d.coeffs[i] for d in classes] for i in range(RANK)]
+
+
+def _one_plus_sign_sigma(sign: int) -> intlinalg.Matrix:
+    """The matrix of 1 + sign*sigma on (L, E1..E7), from sigma on the unit vectors."""
+    units = [DivClass(tuple(int(i == j) for i in range(RANK))) for j in range(RANK)]
+    return _columns([u + sign * sigma(u) for u in units])
 
 
 @dataclass(frozen=True)
@@ -161,53 +142,25 @@ class _CohomologyData:
     kernel: tuple[DivClass, ...]
     image: tuple[DivClass, ...]
     divisors: tuple[int, ...]  # full elementary divisor list, units included
-    class_matrix: tuple[tuple[int, ...], ...]  # 6x8; class_of(d) = matrix*d mod 2
-
-
-def _one_minus_matrix() -> intlinalg.Matrix:
-    s = _matrix_rows(GEISER)
-    eye = intlinalg.identity(RANK)
-    return [[eye[i][j] - s[i][j] for j in range(RANK)] for i in range(RANK)]
+    # solves d = sum x_i e_i + (image combination); x mod 2 is the class of d
+    class_solver: Callable[[intlinalg.Vector], intlinalg.Vector | None]
 
 
 @lru_cache(maxsize=1)
 def _one_minus_solver():
     """Solves (1 - sigma)x = b; the matrix is echelonised once per process."""
-    return intlinalg.solver(_one_minus_matrix())
-
-
-def _brute_force_class(d: DivClass) -> CohClass:
-    es = [e_class(i) for i in range(1, 7)]
-    found = None
-    for bits in itertools.product((0, 1), repeat=6):
-        shifted = d
-        for b, e in zip(bits, es):
-            if b:
-                shifted = shifted - e
-        if _one_minus_solver()(list(shifted.coeffs)) is not None:
-            if found is not None:
-                raise InternalInconsistency(f"two classes match {d!r}: {found}, {bits}")
-            found = bits
-    if found is None:
-        raise InternalInconsistency(f"no class matches {d!r}")
-    return CohClass(found)
+    return intlinalg.solver(_one_plus_sign_sigma(-1))
 
 
 @lru_cache(maxsize=1)
 def _cohomology() -> _CohomologyData:
-    s = _matrix_rows(GEISER)
-    eye = intlinalg.identity(RANK)
-    one_plus = [[eye[i][j] + s[i][j] for j in range(RANK)] for i in range(RANK)]
-    one_minus = _one_minus_matrix()
-
-    kernel = [DivClass(tuple(v)) for v in intlinalg.kernel_basis(one_plus)]
-    image = [DivClass(tuple(v)) for v in intlinalg.column_space_basis(one_minus)]
+    kernel = [DivClass(tuple(v)) for v in intlinalg.kernel_basis(_one_plus_sign_sigma(1))]
+    image = [DivClass(tuple(v)) for v in intlinalg.column_space_basis(_one_plus_sign_sigma(-1))]
     if len(kernel) != 7:
         raise InternalInconsistency(f"ker(1+sigma) has rank {len(kernel)}, expected 7")
 
     # elementary divisors of the quotient: image generators in kernel coordinates
-    kernel_cols = _columns(kernel)
-    in_kernel_coords = intlinalg.solver(kernel_cols)
+    in_kernel_coords = intlinalg.solver(_columns(kernel))
     coords = []
     for img in image:
         c = in_kernel_coords(list(img.coeffs))
@@ -216,48 +169,16 @@ def _cohomology() -> _CohomologyData:
         coords.append(c)
     divisors = intlinalg.smith_elementary_divisors(intlinalg.transpose(coords))
 
-    # a mod-2 matrix computing the class of any cocycle: complete the kernel
-    # basis with a unit vector w to a basis of the whole lattice, send w to
-    # zero, and send each kernel basis vector to its brute-forced class
-    basis_matrix = None
-    for j in range(RANK):
-        unit = [1 if i == j else 0 for i in range(RANK)]
-        candidate = [row[:] + [unit[i]] for i, row in enumerate(kernel_cols)]
-        if abs(intlinalg.det(candidate)) == 1:
-            basis_matrix = candidate
-            break
-    if basis_matrix is None:
-        raise InternalInconsistency("kernel basis does not complete to a unimodular basis")
-    inv_cols = []
-    solve_basis = intlinalg.solver(basis_matrix)
-    for j in range(RANK):
-        unit = [1 if i == j else 0 for i in range(RANK)]
-        col = solve_basis(unit)
-        if col is None:
-            raise InternalInconsistency("failed to invert a unimodular matrix")
-        inv_cols.append(col)
-    b_inv = intlinalg.transpose(inv_cols)
-    kernel_classes = [_brute_force_class(k) for k in kernel]
-    c_mat = [[kernel_classes[j].bits[r] for j in range(7)] + [0] for r in range(6)]
-    class_matrix = [[v % 2 for v in row] for row in intlinalg.mat_mul(c_mat, b_inv)]
-
-    data = _CohomologyData(
-        kernel=tuple(kernel),
-        image=tuple(image),
-        divisors=tuple(divisors),
-        class_matrix=tuple(tuple(row) for row in class_matrix),
-    )
-    # startup self-check: the matrix must reproduce the basis classes exactly
-    for i in range(1, 7):
-        expected = tuple(1 if j == i - 1 else 0 for j in range(6))
-        if _apply_class_matrix(data, e_class(i)).bits != expected:
-            raise InternalInconsistency(f"class matrix misclassifies e_{i}")
-    return data
-
-
-def _apply_class_matrix(data: _CohomologyData, d: DivClass) -> CohClass:
-    return CohClass(tuple(sum(row[j] * d.coeffs[j] for j in range(RANK)) % 2
-                          for row in data.class_matrix))
+    # startup self-check: the bits of class_of are well defined only when
+    # H^1 = (Z/2)^6 and the classes of e_1..e_6 generate it
+    if [d for d in divisors if d != 1] != [2] * 6:
+        raise InternalInconsistency(f"H^1 has elementary divisors {divisors}, expected six 2s")
+    class_solver = intlinalg.solver(_columns([e_class(i) for i in range(1, 7)] + image))
+    for k in kernel:
+        if class_solver(list(k.coeffs)) is None:
+            raise InternalInconsistency(f"e_1..e_6 and im(1-sigma) do not span {k!r}")
+    return _CohomologyData(kernel=tuple(kernel), image=tuple(image),
+                           divisors=tuple(divisors), class_solver=class_solver)
 
 
 def one_plus_sigma_kernel() -> list[DivClass]:
@@ -289,7 +210,7 @@ def is_coboundary(d: DivClass) -> bool:
 def class_of(d: DivClass) -> CohClass:
     """Coordinates of a cocycle in the basis (e1, ..., e6) of H^1."""
     _require_cocycle(d)
-    return _apply_class_matrix(_cohomology(), d)
+    return CohClass(tuple(x % 2 for x in _cohomology().class_solver(list(d.coeffs))[:6]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +229,8 @@ def _first_pair_per_code(codes: list[int]) -> dict[int, tuple[int, int]]:
 
 @lru_cache(maxsize=1)
 def _pair_table() -> dict[int, tuple[int, int]]:
-    # the class matrix is linear mod 2, so [Ei - Ej] is code(Ei) XOR code(Ej)
-    data = _cohomology()
-    return _first_pair_per_code([_apply_class_matrix(data, c.cls).code
-                                 for c in enumerate_exceptional()])
+    # class_of is additive, so [C - C'] has code [C - E1] XOR [C' - E1]
+    return _first_pair_per_code([class_of(c.cls - E(1)).code for c in enumerate_exceptional()])
 
 
 def represent_as_difference(v: CohClass) -> tuple[ExceptionalCurve, ExceptionalCurve]:

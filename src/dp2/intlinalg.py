@@ -40,11 +40,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
 def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
@@ -142,27 +137,6 @@ def solver(m: Matrix) -> Callable[[Vector], Vector | None]:
 def solve(m: Matrix, b: Vector) -> Vector | None:
     """One integer solution of m*x = b, or None when none exists."""
     return solver(m)(b)
-
-
-def det(m: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_elementary_divisors(m: Matrix) -> list[int]:

@@ -6,7 +6,6 @@ from dp2.chern import (
     CH_O,
     MINIMAL_C2,
     ChernChar,
-    TODD,
     bogomolov_min_c2,
     c1_constraint,
     ch_ideal_point_twist,
@@ -76,8 +75,6 @@ def test_mult_associative(rng):
 
 
 def test_todd_integrates_to_one():
-    assert TODD.point == 1
-    assert TODD.c_doubled == H
     assert euler_pairing(CH_O, CH_O) == 1
 
 
@@ -139,7 +136,9 @@ def test_c1_constraint():
     assert c1_constraint(F, lclass) == 1
     assert c1_constraint(H, lclass) is None
     assert c1_constraint(ZERO, lclass) is None
-    for n in range(-4, 5):
+    for n in range(-5, 6):
         assert c1_constraint(lclass + n * H, lclass) == n
+    # rest = E1 has rest.H = 1, odd, so no n exists
+    assert c1_constraint(lclass + E(1), lclass) is None
     assert c1_constraint(L, lclass=L) == 0
     assert c1_constraint(L + 2 * H, lclass=L) == 2

@@ -2,6 +2,7 @@ import collections
 import json
 import random
 
+from dp2 import galois
 from dp2.cli import main
 from dp2.picard import parse_divisor
 
@@ -23,6 +24,16 @@ def test_galois_h1(capsys):
     assert code == 0
     assert payload["elementary_divisors"] == [2, 2, 2, 2, 2, 2]
     assert payload["order"] == 64
+
+
+def test_galois_h1_order_is_the_product_of_the_divisors(capsys, monkeypatch):
+    monkeypatch.setattr(galois, "h1_galois", lambda: [2, 4])
+    code, out, _ = run(capsys, "galois", "h1")
+    assert code == 0
+    assert "(group order 8)" in out
+    code, payload = run_json(capsys, "galois", "h1")
+    assert code == 0
+    assert payload["order"] == 8
 
 
 def test_galois_class(capsys):

@@ -229,13 +229,6 @@ def test_ideal_twist_empty_case():
     assert out == CohomDims(0, h1(d) + 1, h2(d)) == CohomDims(0, 1, 0)
 
 
-def test_ideal_twist_special_point_interval():
-    out = cohom_ideal_twist(H, generic_point=False)
-    assert out == (CohomDims(2, 0, 0), CohomDims(3, 1, 0))
-    # h2 never moves, and generic is the epsilon = 1 branch
-    assert cohom_ideal_twist(H, generic_point=True) == out[0]
-
-
 def test_ideal_twist_h2_is_h2_of_line(random_classes):
     for d in random_classes(100):
         out = cohom_ideal_twist(d)

@@ -3,9 +3,8 @@ import itertools
 import pytest
 
 from dp2 import galois, intlinalg
-from dp2.errors import NotACocycle, TrivialClass
+from dp2.errors import InternalInconsistency, NotACocycle, TrivialClass
 from dp2.galois import (
-    GEISER,
     CohClass,
     class_of,
     disjoint_representative,
@@ -67,11 +66,6 @@ def test_sigma_is_involutive_isometry(rng, random_classes):
     for a, b in zip(random_classes(1000), random_classes(1000)):
         assert sigma(sigma(a)) == a
         assert intersect(sigma(a), sigma(b)) == intersect(a, b)
-
-
-def test_sigma_matrix_squares_to_identity():
-    m = [list(row) for row in GEISER.matrix]
-    assert intlinalg.mat_mul(m, m) == intlinalg.identity(8)
 
 
 def test_sigma_permutes_curves_in_28_transpositions():
@@ -171,13 +165,16 @@ def test_class_of_basis_and_chains():
 
 def test_class_of_matches_brute_force(rng):
     # independent oracle: subtract each subset of the e_i and test membership
-    # in im(1 - sigma) by exact solving
+    # in im(1 - sigma) by exact solving; the inputs are 25 random cocycles and
+    # the 64 differences the pair table picked, each checked against its code
     kernel = one_plus_sigma_kernel()
     es = [e_class(i) for i in range(1, 7)]
-    for _ in range(25):
-        d = ZERO
-        for k in kernel:
-            d = d + rng.randint(-2, 2) * k
+    curves = enumerate_exceptional()
+    cocycles = [(None, sum((rng.randint(-2, 2) * k for k in kernel), ZERO)) for _ in range(25)]
+    cocycles += [(code, curves[i].cls - curves[j].cls)
+                 for code, (i, j) in galois._pair_table().items()]
+    assert len(cocycles) == 25 + 64
+    for code, d in cocycles:
         hits = []
         for bits in itertools.product((0, 1), repeat=6):
             shifted = d
@@ -187,6 +184,34 @@ def test_class_of_matches_brute_force(rng):
             if is_coboundary(shifted):
                 hits.append(bits)
         assert hits == [class_of(d).bits]
+        if code is not None:
+            assert class_of(d).code == code
+
+
+@pytest.fixture
+def fresh_derivation():
+    galois._cohomology.cache_clear()
+    galois._pair_table.cache_clear()
+    yield
+    galois._cohomology.cache_clear()
+    galois._pair_table.cache_clear()
+
+
+def _e6_repeats_e5(monkeypatch):
+    real = galois.e_class
+    monkeypatch.setattr(galois, "e_class", lambda i: real(5) if i == 6 else real(i))
+
+
+def _h1_has_a_4(monkeypatch):
+    real = intlinalg.smith_elementary_divisors
+    monkeypatch.setattr(intlinalg, "smith_elementary_divisors", lambda m: real(m)[:-1] + [4])
+
+
+@pytest.mark.parametrize("breakage", [_e6_repeats_e5, _h1_has_a_4])
+def test_derivation_checks_that_the_e_i_generate_h1(monkeypatch, fresh_derivation, breakage):
+    breakage(monkeypatch)
+    with pytest.raises(InternalInconsistency):
+        class_of(E(1) - E(2))
 
 
 def test_class_of_is_additive(rng):

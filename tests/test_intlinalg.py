@@ -45,8 +45,8 @@ def test_column_echelon_structure(rng):
     for _ in range(100):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         h, u, pivots = intlinalg.column_echelon(m)
-        assert intlinalg.mat_mul(m, u) == h
-        assert abs(intlinalg.det(u)) == 1
+        assert sympy.Matrix(m) * sympy.Matrix(u) == sympy.Matrix(h)
+        assert abs(sympy.Matrix(u).det()) == 1
         rows_seen = [r for r, _ in pivots]
         assert rows_seen == sorted(rows_seen)
         # pivot columns are 0..k-1 and later columns vanish
@@ -100,13 +100,6 @@ def test_solve_agrees_with_smith_feasibility(rng):
         assert (ours is not None) == solvable_over_z(m, b)
         if ours is not None:
             assert intlinalg.mat_vec(m, ours) == b
-
-
-def test_det_matches_sympy(rng):
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n)
-        assert intlinalg.det(m) == int(sympy.Matrix(m).det())
 
 
 def test_smith_divisors_match_sympy(rng):

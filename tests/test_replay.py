@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,3 +142,16 @@ def test_cocycle_claim_computes_no_classes(monkeypatch):
     monkeypatch.setattr(replay, "class_of", counting)
     assert replay.run_one("GAL.EE.COCYCLE").computed is True
     assert calls == []
+
+
+def test_e1e3_claim_fails_for_a_non_curve_partner(monkeypatch):
+    real = galois.represent_as_difference
+
+    def with_fake_partner(bits):
+        e, _ = real(bits)
+        return e, SimpleNamespace(name="L", cls=L)
+
+    monkeypatch.setattr(galois, "represent_as_difference", with_fake_partner)
+    report = replay.run_one("GAL.REPR.E1E3")
+    assert report.computed["pair_is_exceptional"] is False
+    assert not report.passed

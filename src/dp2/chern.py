@@ -20,9 +20,7 @@ class of the order's invertible summand plus an integer multiple of H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import HalfIntegerLeak
+from .errors import HalfIntegerLeak, refuse_mutation
 from .picard import ZERO, DivClass, H, intersect
 
 __all__ = [
@@ -42,18 +40,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ChernChar:
     """(rank, degree-1 class, doubled degree-2 part)."""
 
-    rank: int
-    c: DivClass
-    s2: int  # twice the degree-2 coefficient
+    __slots__ = ("rank", "c", "s2")
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        if (self.s2 - self.c.selfint) % 2 != 0:
+    def __init__(self, rank: int, c: DivClass, s2: int):
+        # s2 is twice the degree-2 coefficient
+        if (s2 - c.selfint) % 2 != 0:
             raise ValueError(
-                f"degree-2 part {self.s2}/2 violates integrality against c^2 = {self.c.selfint}")
+                f"degree-2 part {s2}/2 violates integrality against c^2 = {c.selfint}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s2", s2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.c, self.s2) == (other.rank, other.c, other.s2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.c, self.s2))
+
+    def __repr__(self) -> str:
+        return f"ChernChar(rank={self.rank!r}, c={self.c!r}, s2={self.s2!r})"
+
+    def __reduce__(self):
+        return ChernChar, (self.rank, self.c, self.s2)
 
     @property
     def c2(self) -> int:

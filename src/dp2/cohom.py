@@ -28,16 +28,14 @@ equations d_i = r_{i-1} + r_i, r_i >= 0 to exact integer intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Infeasible, InternalInconsistency
+from .errors import Infeasible, InternalInconsistency, refuse_mutation
 from .picard import DivClass, E, H, L, enumerate_exceptional, intersect
 
 __all__ = [
     "CohomDims",
     "chi_line",
-    "is_nef",
     "h0",
     "h1",
     "h2",
@@ -51,13 +49,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CohomDims:
     """The triple (h0, h1, h2) of a line bundle (or ideal-sheaf twist)."""
 
-    h0: int
-    h1: int
-    h2: int
+    __slots__ = ("h0", "h1", "h2")
+    __setattr__ = __delattr__ = refuse_mutation
+
+    def __init__(self, h0: int, h1: int, h2: int):
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.h0, self.h1, self.h2) == (other.h0, other.h1, other.h2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.h0, self.h1, self.h2))
+
+    def __repr__(self) -> str:
+        return f"CohomDims(h0={self.h0!r}, h1={self.h1!r}, h2={self.h2!r})"
+
+    def __reduce__(self):
+        return CohomDims, (self.h0, self.h1, self.h2)
 
     @property
     def chi(self) -> int:
@@ -74,13 +89,6 @@ def chi_line(d: DivClass) -> int:
     if rem:
         raise InternalInconsistency(f"D.(D+H) odd for {d!r}")
     return half + 1
-
-
-def is_nef(d: DivClass) -> bool:
-    """Nonnegative degree on H and on all 56 exceptional curves."""
-    if intersect(d, H) < 0:
-        return False
-    return all(intersect(d, c.cls) >= 0 for c in enumerate_exceptional())
 
 
 H0_CACHE_SIZE = 1 << 13  # answers kept for repeated h0 queries, not for peeled classes
@@ -172,12 +180,29 @@ def cohom_ideal_twist(d: DivClass) -> CohomDims:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Interval:
     """Integers lo..hi inclusive; hi = None means unbounded above."""
 
-    lo: int
-    hi: int | None
+    __slots__ = ("lo", "hi")
+    __setattr__ = __delattr__ = refuse_mutation
+
+    def __init__(self, lo: int, hi: int | None):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.hi)
 
     def is_empty(self) -> bool:
         return self.hi is not None and self.lo > self.hi
@@ -201,30 +226,62 @@ class Interval:
         return f"[{self.lo}..{'inf' if self.hi is None else self.hi}]"
 
 
-@dataclass(frozen=True)
 class DimSequence:
     """Dimensions of an exact sequence, zero maps at both ends; None = unknown."""
 
-    entries: tuple[int | None, ...]
+    __slots__ = ("entries",)
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[int | None, ...]):
+        if not entries:
             raise ValueError("empty sequence")
-        for e in self.entries:
+        for e in entries:
             if e is not None and (not isinstance(e, int) or e < 0):
                 raise ValueError(f"entries must be nonnegative ints or None, got {e!r}")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"DimSequence(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return DimSequence, (self.entries,)
 
     @staticmethod
     def of(*entries: int | None) -> "DimSequence":
         return DimSequence(tuple(entries))
 
 
-@dataclass(frozen=True)
 class LesResult:
     """Solved entries (int where forced, Interval otherwise) plus rank intervals."""
 
-    entries: tuple[int | Interval, ...]
-    ranks: tuple[Interval, ...]
+    __slots__ = ("entries", "ranks")
+    __setattr__ = __delattr__ = refuse_mutation
+
+    def __init__(self, entries: tuple[int | Interval, ...], ranks: tuple[Interval, ...]):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "ranks", ranks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entries, self.ranks) == (other.entries, other.ranks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries, self.ranks))
+
+    def __repr__(self) -> str:
+        return f"LesResult(entries={self.entries!r}, ranks={self.ranks!r})"
+
+    def __reduce__(self):
+        return LesResult, (self.entries, self.ranks)
 
     @property
     def determined(self) -> bool:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the mutation guard of its value types."""
 
 
 class NotACocycle(ValueError):
@@ -23,3 +23,8 @@ class Infeasible(ValueError):
 
 class UnknownClaim(KeyError):
     """A claim identifier is not present in the registry."""
+
+
+def refuse_mutation(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the value types, whose fields are fixed."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")

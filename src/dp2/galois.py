@@ -17,23 +17,25 @@ With G of order two acting through sigma, the first group cohomology is
     H^1(G, Pic Y) = ker(1 + sigma) / im(1 - sigma) = (Z/2)^6,
 
 computed here mechanically by integer kernel/column-space reduction and a
-Smith normal form, not copied from the literature.  The class of a cocycle d
+Smith normal form, not copied from the literature.  The class of a cocycle k
 in the basis e_i = Ei - Ei+1 is read off by one exact integer solve of
-d = sum x_i e_i + (an element of im(1 - sigma)): the x_i mod 2 are its bits.
+k = sum x_i e_i + (an element of im(1 - sigma)): the x_i mod 2 are its bits.
 That reading is well defined only because H^1 = (Z/2)^6 and the e_i generate
-it, and the derivation checks both once per process.  The module also houses
-the cocycle tests and the representation of every nonzero class as a
-difference of two exceptional curves (with a disjoint-pair refinement).
+it, and the derivation checks both once per process.  It solves only for the
+seven vectors of a kernel basis: the class is linear and ker(1 + sigma) is
+saturated, so any other cocycle's class is its kernel coordinates (an integer
+left inverse of the basis applied to it) times those seven, mod 2.  The
+module also houses the cocycle tests and the representation of every nonzero
+class as a difference of two exceptional curves (with a disjoint-pair
+refinement).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from . import intlinalg
-from .errors import InternalInconsistency, NotACocycle, TrivialClass
+from .errors import InternalInconsistency, NotACocycle, TrivialClass, refuse_mutation
 from .picard import (
     RANK,
     ZERO,
@@ -90,15 +92,30 @@ def e_class(i: int) -> DivClass:
     return E(i) - E(i + 1)
 
 
-@dataclass(frozen=True)
 class CohClass:
     """An element of H^1(G, Pic Y) in coordinates (e1, ..., e6) over F_2."""
 
-    bits: tuple[int, int, int, int, int, int]
+    __slots__ = ("bits",)
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        if len(self.bits) != 6 or any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"need six bits, got {self.bits!r}")
+    def __init__(self, bits: tuple[int, int, int, int, int, int]):
+        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"need six bits, got {bits!r}")
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bits,))
+
+    def __repr__(self) -> str:
+        return f"CohClass(bits={self.bits!r})"
+
+    def __reduce__(self):
+        return CohClass, (self.bits,)
 
     @staticmethod
     def zero() -> "CohClass":
@@ -137,15 +154,6 @@ def _one_plus_sign_sigma(sign: int) -> intlinalg.Matrix:
     return _columns([u + sign * sigma(u) for u in units])
 
 
-@dataclass(frozen=True)
-class _CohomologyData:
-    kernel: tuple[DivClass, ...]
-    image: tuple[DivClass, ...]
-    divisors: tuple[int, ...]  # full elementary divisor list, units included
-    # solves d = sum x_i e_i + (image combination); x mod 2 is the class of d
-    class_solver: Callable[[intlinalg.Vector], intlinalg.Vector | None]
-
-
 @lru_cache(maxsize=1)
 def _one_minus_solver():
     """Solves (1 - sigma)x = b; the matrix is echelonised once per process."""
@@ -153,7 +161,12 @@ def _one_minus_solver():
 
 
 @lru_cache(maxsize=1)
-def _cohomology() -> _CohomologyData:
+def _cohomology():
+    """(kernel, image, divisors, class_rows), derived once per process.
+
+    ``divisors`` is the full elementary divisor list, units included.  The
+    class of a cocycle d is class_rows . d mod 2 (see class_of).
+    """
     kernel = [DivClass(tuple(v)) for v in intlinalg.kernel_basis(_one_plus_sign_sigma(1))]
     image = [DivClass(tuple(v)) for v in intlinalg.column_space_basis(_one_plus_sign_sigma(-1))]
     if len(kernel) != 7:
@@ -170,30 +183,48 @@ def _cohomology() -> _CohomologyData:
     divisors = intlinalg.smith_elementary_divisors(intlinalg.transpose(coords))
 
     # startup self-check: the bits of class_of are well defined only when
-    # H^1 = (Z/2)^6 and the classes of e_1..e_6 generate it
+    # H^1 = (Z/2)^6 and the classes of e_1..e_6 generate it.  Solving
+    # k = sum x_i e_i + (image combination) gives each kernel vector's class
+    # as x mod 2.
     if [d for d in divisors if d != 1] != [2] * 6:
         raise InternalInconsistency(f"H^1 has elementary divisors {divisors}, expected six 2s")
     class_solver = intlinalg.solver(_columns([e_class(i) for i in range(1, 7)] + image))
+    kernel_classes = []
     for k in kernel:
-        if class_solver(list(k.coeffs)) is None:
+        x = class_solver(list(k.coeffs))
+        if x is None:
             raise InternalInconsistency(f"e_1..e_6 and im(1-sigma) do not span {k!r}")
-    return _CohomologyData(kernel=tuple(kernel), image=tuple(image),
-                           divisors=tuple(divisors), class_solver=class_solver)
+        kernel_classes.append(x[:6])
+
+    # ker(1 + sigma) is saturated, so its basis has an integer left inverse P;
+    # a cocycle d has kernel coordinates P.d, and class_of is linear
+    left_inverse = intlinalg.solver([list(k.coeffs) for k in kernel])
+    p_rows = []
+    for j in range(len(kernel)):
+        row = left_inverse([int(i == j) for i in range(len(kernel))])
+        if row is None:
+            raise InternalInconsistency("ker(1+sigma) has no integer left inverse")
+        p_rows.append(row)
+    class_rows = tuple(
+        tuple(sum(x[i] * p[col] for x, p in zip(kernel_classes, p_rows)) % 2
+              for col in range(RANK))
+        for i in range(6))
+    return tuple(kernel), tuple(image), tuple(divisors), class_rows
 
 
 def one_plus_sigma_kernel() -> list[DivClass]:
     """An integer basis of ker(1 + sigma); rank 7."""
-    return list(_cohomology().kernel)
+    return list(_cohomology()[0])
 
 
 def one_minus_sigma_image() -> list[DivClass]:
     """An integer basis of im(1 - sigma)."""
-    return list(_cohomology().image)
+    return list(_cohomology()[1])
 
 
 def h1_galois() -> list[int]:
     """Elementary divisors of ker(1 + sigma)/im(1 - sigma), units dropped."""
-    return [d for d in _cohomology().divisors if d != 1]
+    return [d for d in _cohomology()[2] if d != 1]
 
 
 def _require_cocycle(d: DivClass) -> None:
@@ -210,7 +241,8 @@ def is_coboundary(d: DivClass) -> bool:
 def class_of(d: DivClass) -> CohClass:
     """Coordinates of a cocycle in the basis (e1, ..., e6) of H^1."""
     _require_cocycle(d)
-    return CohClass(tuple(x % 2 for x in _cohomology().class_solver(list(d.coeffs))[:6]))
+    return CohClass(tuple(sum(a * b for a, b in zip(row, d.coeffs)) % 2
+                          for row in _cohomology()[3]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,12 @@ right-orthogonal to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import reporting
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
 from .cohom import chi_line, cohom_dims, h0, h1, h2, les_solve
-from .errors import Infeasible
+from .errors import Infeasible, refuse_mutation
 from .galois import class_of, sigma
 from .picard import (
     DivClass,
@@ -70,20 +69,32 @@ Triple = tuple[int, int, int]
 PartialTriple = tuple[int | None, int | None, int | None]
 
 
-@dataclass(frozen=True)
 class OrderModel:
     """A choice of disjoint exceptional pair (E, E') defining the cyclic order."""
 
-    e: ExceptionalCurve
-    eprime: ExceptionalCurve
+    # no __slots__: cached_property stores ramification in the instance __dict__
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        if intersect(self.e.cls, self.eprime.cls) != 0:
+    def __init__(self, e: ExceptionalCurve, eprime: ExceptionalCurve):
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "eprime", eprime)
+        if intersect(e.cls, eprime.cls) != 0:
             raise ValueError(f"{self.e} and {self.eprime} are not disjoint")
         if class_of(self.lclass).is_zero():
             raise ValueError("the order would be unramified: [E - E'] is trivial")
         if self.f.selfint != 0 or intersect(self.f, H) != 2:
             raise ValueError("model classes violate the fibre constraints")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e, self.eprime) == (other.e, other.eprime)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.e, self.eprime))
+
+    def __repr__(self) -> str:
+        return f"OrderModel(e={self.e!r}, eprime={self.eprime!r})"
 
     @property
     def lclass(self) -> DivClass:
@@ -148,11 +159,28 @@ def standard_model() -> OrderModel:
     return OrderModel(classify(E(1)), classify(conic_through(1, 2)))
 
 
-@dataclass(frozen=True)
 class SplitBundle:
     """A direct sum of line bundles, recorded by its summand classes."""
 
-    summands: tuple[DivClass, ...]
+    __slots__ = ("summands",)
+    __setattr__ = __delattr__ = refuse_mutation
+
+    def __init__(self, summands: tuple[DivClass, ...]):
+        object.__setattr__(self, "summands", summands)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.summands == other.summands
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.summands,))
+
+    def __repr__(self) -> str:
+        return f"SplitBundle(summands={self.summands!r})"
+
+    def __reduce__(self):
+        return SplitBundle, (self.summands,)
 
     @staticmethod
     def of(*summands: DivClass) -> "SplitBundle":
@@ -193,7 +221,6 @@ def induced_split(d: DivClass, model: OrderModel | None = None) -> SplitBundle:
     return SplitBundle.of(d, model.lclass + sigma(d))
 
 
-@dataclass(frozen=True)
 class ExtTable:
     """Ext dimensions (degrees 0, 1, 2) at the Y level and, when known, the A level.
 
@@ -202,15 +229,36 @@ class ExtTable:
     A-level values are pinned (either supplied or squeezed by a zero).
     """
 
-    ext_y: PartialTriple = (None, None, None)
-    ext_a: PartialTriple = (None, None, None)
-    ext_a_twisted: PartialTriple = (None, None, None)
-    forced: tuple[bool, bool, bool] = (False, False, False)
+    __slots__ = ("ext_y", "ext_a", "ext_a_twisted", "forced")
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        for y, a in zip(self.ext_y, self.ext_a):
+    def __init__(self, ext_y: PartialTriple = (None, None, None),
+                 ext_a: PartialTriple = (None, None, None),
+                 ext_a_twisted: PartialTriple = (None, None, None),
+                 forced: tuple[bool, bool, bool] = (False, False, False)):
+        for y, a in zip(ext_y, ext_a):
             if y is not None and a is not None and a > y:
                 raise Infeasible(f"A-level dimension {a} exceeds Y-level {y}")
+        object.__setattr__(self, "ext_y", ext_y)
+        object.__setattr__(self, "ext_a", ext_a)
+        object.__setattr__(self, "ext_a_twisted", ext_a_twisted)
+        object.__setattr__(self, "forced", forced)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ext_y, self.ext_a, self.ext_a_twisted, self.forced)
+                    == (other.ext_y, other.ext_a, other.ext_a_twisted, other.forced))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ext_y, self.ext_a, self.ext_a_twisted, self.forced))
+
+    def __repr__(self) -> str:
+        return (f"ExtTable(ext_y={self.ext_y!r}, ext_a={self.ext_a!r}, "
+                f"ext_a_twisted={self.ext_a_twisted!r}, forced={self.forced!r})")
+
+    def __reduce__(self):
+        return ExtTable, (self.ext_y, self.ext_a, self.ext_a_twisted, self.forced)
 
     def y_triple(self) -> Triple:
         if any(v is None for v in self.ext_y):

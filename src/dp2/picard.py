@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+from .errors import refuse_mutation
 
 __all__ = [
     "DivClass",
@@ -52,17 +53,29 @@ __all__ = [
 RANK = 8
 
 
-@dataclass(frozen=True)
 class DivClass:
     """A divisor class d*L + m1*E1 + ... + m7*E7, stored as (d, m1, ..., m7)."""
 
-    coeffs: tuple[int, int, int, int, int, int, int, int]
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        if len(self.coeffs) != RANK:
-            raise ValueError(f"need {RANK} coordinates, got {len(self.coeffs)}")
-        if not all(isinstance(c, int) for c in self.coeffs):
+    def __init__(self, coeffs: tuple[int, int, int, int, int, int, int, int]):
+        if len(coeffs) != RANK:
+            raise ValueError(f"need {RANK} coordinates, got {len(coeffs)}")
+        if not all(isinstance(c, int) for c in coeffs):
             raise TypeError("coordinates must be integers")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return DivClass, (self.coeffs,)
 
     @staticmethod
     def of(*coeffs: int) -> "DivClass":
@@ -171,17 +184,34 @@ class Family(Enum):
     D = "D"  # strict transforms of nodal cubics through all seven points
 
 
-@dataclass(frozen=True)
 class ExceptionalCurve:
     """A (-1)-curve class together with its family tag and point indices."""
 
-    cls: DivClass
-    family: Family
-    indices: tuple[int, ...]
+    __slots__ = ("cls", "family", "indices")
+    __setattr__ = __delattr__ = refuse_mutation
 
-    def __post_init__(self):
-        if self.cls.selfint != -1 or self.cls.dot(H) != 1:
-            raise ValueError(f"{self.cls!r} is not a (-1)-curve of degree 1")
+    def __init__(self, cls: DivClass, family: Family, indices: tuple[int, ...]):
+        if cls.selfint != -1 or cls.dot(H) != 1:
+            raise ValueError(f"{cls!r} is not a (-1)-curve of degree 1")
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.cls, self.family, self.indices)
+                    == (other.cls, other.family, other.indices))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cls, self.family, self.indices))
+
+    def __repr__(self) -> str:
+        return (f"ExceptionalCurve(cls={self.cls!r}, family={self.family!r}, "
+                f"indices={self.indices!r})")
+
+    def __reduce__(self):
+        return ExceptionalCurve, (self.cls, self.family, self.indices)
 
     @property
     def name(self) -> str:

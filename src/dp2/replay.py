@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -49,14 +48,11 @@ from .picard import (
 )
 from .reporting import ClaimReport
 
-__all__ = ["Claim", "ClaimReport", "all_claim_ids", "run_one", "run_all",
+__all__ = ["ClaimReport", "all_claim_ids", "run_one", "run_all",
            "failures", "render_text", "render_json_lines"]
 
-
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    produce: Callable[[], ClaimReport]
+# a registered claim: its identifier and the thunk that recomputes its report
+Claim = tuple[str, Callable[[], ClaimReport]]
 
 
 def _claim(claim_id: str, description: str, paper_ref: str, expected: Any,
@@ -65,7 +61,7 @@ def _claim(claim_id: str, description: str, paper_ref: str, expected: Any,
         return reporting.report(claim_id, description, paper_ref, expected,
                                 compute(), known_discrepancy)
 
-    return Claim(claim_id, produce)
+    return claim_id, produce
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def _exceptional_reports() -> dict[str, ClaimReport]:
 
 
 def _from_chain(chain: Callable[[], dict[str, ClaimReport]], claim_id: str) -> Claim:
-    return Claim(claim_id, lambda: chain()[claim_id])
+    return claim_id, lambda: chain()[claim_id]
 
 
 @lru_cache(maxsize=1)
@@ -590,28 +586,28 @@ def _registry() -> list[Claim]:
         _from_chain(_orthogonality_reports, "L53"),
         _from_chain(_orthogonality_reports, "ORTH.I1"),
     ]
-    ids = [c.id for c in claims]
+    ids = [claim_id for claim_id, _ in claims]
     if len(ids) != len(set(ids)):
         raise AssertionError("duplicate claim identifiers in the registry")
     return claims
 
 
 def all_claim_ids() -> list[str]:
-    return [c.id for c in _registry()]
+    return [claim_id for claim_id, _ in _registry()]
 
 
 def run_one(claim_id: str) -> ClaimReport:
-    for claim in _registry():
-        if claim.id == claim_id:
-            return claim.produce()
+    for registered_id, produce in _registry():
+        if registered_id == claim_id:
+            return produce()
     raise UnknownClaim(claim_id)
 
 
 def run_all(prefix: str | None = None) -> list[ClaimReport]:
     reports = []
-    for claim in _registry():
-        if prefix is None or claim.id.startswith(prefix):
-            reports.append(claim.produce())
+    for claim_id, produce in _registry():
+        if prefix is None or claim_id.startswith(prefix):
+            reports.append(produce())
     return reports
 
 

@@ -3,21 +3,48 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
+from .errors import refuse_mutation
 
-@dataclass(frozen=True)
+
 class ClaimReport:
     """One verified statement: what was expected, what came out, and whether they agree."""
 
-    id: str
-    description: str
-    expected: Any
-    computed: Any
-    passed: bool
-    paper_ref: str
-    known_discrepancy: bool = False
+    __slots__ = ("id", "description", "expected", "computed", "passed", "paper_ref",
+                 "known_discrepancy")
+    __setattr__ = __delattr__ = refuse_mutation
+
+    def __init__(self, id: str, description: str, expected: Any, computed: Any, passed: bool,
+                 paper_ref: str, known_discrepancy: bool = False):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "paper_ref", paper_ref)
+        object.__setattr__(self, "known_discrepancy", known_discrepancy)
+
+    def _fields(self) -> tuple:
+        return (self.id, self.description, self.expected, self.computed, self.passed,
+                self.paper_ref, self.known_discrepancy)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"ClaimReport(id={self.id!r}, description={self.description!r}, "
+                f"expected={self.expected!r}, computed={self.computed!r}, "
+                f"passed={self.passed!r}, paper_ref={self.paper_ref!r}, "
+                f"known_discrepancy={self.known_discrepancy!r})")
+
+    def __reduce__(self):
+        return ClaimReport, self._fields()
 
     def to_dict(self) -> dict[str, Any]:
         return {

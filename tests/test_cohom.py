@@ -13,7 +13,6 @@ from dp2.cohom import (
     h0,
     h1,
     h2,
-    is_nef,
     les_solve,
     noneffective_witness,
 )
@@ -63,6 +62,13 @@ def test_chi_serre_symmetry(random_classes):
 # ---------------------------------------------------------------------------
 # h0 / h1 / h2
 # ---------------------------------------------------------------------------
+
+
+def is_nef(d):
+    """Oracle: nonnegative degree on H and on all 56 exceptional curves."""
+    if intersect(d, H) < 0:
+        return False
+    return all(intersect(d, c.cls) >= 0 for c in enumerate_exceptional())
 
 
 def test_h0_base_cases():

@@ -211,3 +211,14 @@ def test_importing_picard_loads_no_other_layer():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every fresh `python -m dp2 ...` pays for its imports; dataclasses alone
+    # brings inspect, ast and dis with it
+    script = ("import sys, dp2.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,0 +1,133 @@
+"""The contract of the package's immutable value types.
+
+Each type compares and hashes by its field tuple, prints as
+``Name(field=value, ...)`` (``reporting`` falls back to ``str()`` for JSON,
+so the frozen replay output depends on it), refuses assignment and deletion,
+and checks its fields on construction.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from dp2 import order, reporting
+from dp2.chern import ChernChar, ch_of
+from dp2.cohom import CohomDims, DimSequence, Interval, LesResult, les_solve
+from dp2.errors import Infeasible
+from dp2.galois import CohClass
+from dp2.order import ExtTable, OrderModel, SplitBundle, standard_model
+from dp2.picard import DivClass, E, ExceptionalCurve, F, Family, H, L, classify, conic_through
+
+E1_REPR = ("ExceptionalCurve(cls=DivClass(0, 1, 0, 0, 0, 0, 0, 0), family=<Family.E: 'E'>, "
+           "indices=(1,))")
+C12_REPR = ("ExceptionalCurve(cls=DivClass(2, 0, 0, -1, -1, -1, -1, -1), family=<Family.C: 'C'>, "
+            "indices=(1, 2))")
+
+
+def _cases():
+    """(a, an equal but distinct instance, its repr, its field tuple, its first field)."""
+    return [
+        (H, DivClass((3, -1, -1, -1, -1, -1, -1, -1)),
+         "DivClass(3, -1, -1, -1, -1, -1, -1, -1)", ((3, -1, -1, -1, -1, -1, -1, -1),), "coeffs"),
+        (classify(E(1)), ExceptionalCurve(E(1), Family.E, (1,)), E1_REPR,
+         (E(1), Family.E, (1,)), "cls"),
+        (ch_of(2, F, 1), ChernChar(2, L - E(2), -2),
+         "ChernChar(rank=2, c=DivClass(1, 0, -1, 0, 0, 0, 0, 0), s2=-2)", (2, F, -2), "rank"),
+        (CohomDims(3, 0, 0), CohomDims(3, 0, 0), "CohomDims(h0=3, h1=0, h2=0)", (3, 0, 0), "h0"),
+        (Interval(0, None), Interval(0, None), "Interval(lo=0, hi=None)", (0, None), "lo"),
+        (DimSequence.of(1, None, 2), DimSequence((1, None, 2)),
+         "DimSequence(entries=(1, None, 2))", ((1, None, 2),), "entries"),
+        (les_solve([1, None, 1]),
+         LesResult((1, 2, 1), (Interval(0, 0), Interval(1, 1), Interval(1, 1), Interval(0, 0))),
+         "LesResult(entries=(1, 2, 1), ranks=(Interval(lo=0, hi=0), Interval(lo=1, hi=1), "
+         "Interval(lo=1, hi=1), Interval(lo=0, hi=0)))",
+         ((1, 2, 1), (Interval(0, 0), Interval(1, 1), Interval(1, 1), Interval(0, 0))), "ranks"),
+        (CohClass.from_bits("100000"), CohClass((1, 0, 0, 0, 0, 0)),
+         "CohClass(bits=(1, 0, 0, 0, 0, 0))", ((1, 0, 0, 0, 0, 0),), "bits"),
+        (standard_model(), OrderModel(classify(E(1)), classify(conic_through(1, 2))),
+         f"OrderModel(e={E1_REPR}, eprime={C12_REPR})",
+         (classify(E(1)), classify(conic_through(1, 2))), "eprime"),
+        (SplitBundle.of(H, L), SplitBundle((H, L)),
+         "SplitBundle(summands=(DivClass(3, -1, -1, -1, -1, -1, -1, -1), "
+         "DivClass(1, 0, 0, 0, 0, 0, 0, 0)))", ((H, L),), "summands"),
+        (ExtTable(ext_y=(1, 0, 0)), ExtTable((1, 0, 0)),
+         "ExtTable(ext_y=(1, 0, 0), ext_a=(None, None, None), ext_a_twisted=(None, None, None), "
+         "forced=(False, False, False))",
+         ((1, 0, 0), (None, None, None), (None, None, None), (False, False, False)), "forced"),
+        (reporting.report("X", "d", "ref", 1, 1),
+         reporting.ClaimReport("X", "d", 1, 1, True, "ref"),
+         "ClaimReport(id='X', description='d', expected=1, computed=1, passed=True, "
+         "paper_ref='ref', known_discrepancy=False)",
+         ("X", "d", 1, 1, True, "ref", False), "passed"),
+    ]
+
+
+CASES = _cases()
+IDS = [type(a).__name__ for a, *_ in CASES]
+
+
+@pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
+def test_repr_is_pinned(a, twin, text, fields, name):
+    assert repr(a) == text
+    assert repr(twin) == text
+
+
+@pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
+def test_equality_and_hash_follow_the_field_tuple(a, twin, text, fields, name):
+    assert a is not twin
+    assert a == twin and not a != twin
+    assert hash(a) == hash(twin) == hash(fields)
+    # another class never compares equal, not even with the same fields
+    assert a.__eq__(fields) is NotImplemented
+    assert a != fields and fields != a
+    assert a != object()
+
+
+@pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
+def test_fields_are_read_only(a, twin, text, fields, name):
+    before = getattr(a, name)
+    with pytest.raises(AttributeError):
+        setattr(a, name, before)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 0
+    assert getattr(a, name) is before
+
+
+@pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
+def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone == a and type(clone) is type(a)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DivClass((1, 2)), ValueError, "need 8 coordinates, got 2"),
+    (lambda: DivClass((1.0,) * 8), TypeError, "coordinates must be integers"),
+    (lambda: ExceptionalCurve(H, Family.E, (1,)), ValueError,
+     "DivClass(3, -1, -1, -1, -1, -1, -1, -1) is not a (-1)-curve of degree 1"),
+    (lambda: ChernChar(1, H, 1), ValueError,
+     "degree-2 part 1/2 violates integrality against c^2 = 2"),
+    (lambda: DimSequence(()), ValueError, "empty sequence"),
+    (lambda: DimSequence((1, -1)), ValueError, "entries must be nonnegative ints or None, got -1"),
+    (lambda: CohClass((1, 0)), ValueError, "need six bits, got (1, 0)"),
+    (lambda: OrderModel(classify(E(1)), classify(E(1))), ValueError, "E1 and E1 are not disjoint"),
+    (lambda: ExtTable(ext_y=(0, 0, 0), ext_a=(1, 0, 0)), Infeasible,
+     "A-level dimension 1 exceeds Y-level 0"),
+])
+def test_construction_checks(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_order_model_ramification_is_computed_once(monkeypatch):
+    model = OrderModel(classify(E(1)), classify(conic_through(1, 2)))
+    calls = []
+    real = order.enumerate_exceptional
+    monkeypatch.setattr(order, "enumerate_exceptional", lambda: calls.append(1) or real())
+    first = model.ramification
+    assert model.ramification is first
+    assert len(calls) == 1
+    assert model == standard_model()  # the cached value takes no part in equality

@@ -22,7 +22,6 @@ success, 1 on a failed verification or domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -34,6 +33,8 @@ from .picard import DivClass, format_divisor, intersect, parse_divisor
 
 
 def _print_json(payload) -> None:
+    import json  # only --json output needs it
+
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -294,79 +295,106 @@ def _emit_reports(reports, as_json: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dp2",
-        description="exact lattice, cohomology and order bookkeeping "
-                    "on the degree-2 del Pezzo double plane")
-    sub = parser.add_subparsers(dest="group", required=True)
+def _with_json(p):
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    return p
 
-    def with_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        return p
 
-    g = sub.add_parser("galois", help="involution and group cohomology")
+def _galois_commands(g) -> None:
     gsub = g.add_subparsers(dest="cmd", required=True)
-    with_json(gsub.add_parser("h1", help="elementary divisors of H^1")) \
+    _with_json(gsub.add_parser("h1", help="elementary divisors of H^1")) \
         .set_defaults(func=_cmd_galois_h1)
-    p = with_json(gsub.add_parser("class", help="class of a cocycle in the e-basis"))
+    p = _with_json(gsub.add_parser("class", help="class of a cocycle in the e-basis"))
     p.add_argument("divisor")
     p.set_defaults(func=_cmd_galois_class)
-    p = with_json(gsub.add_parser("represent", help="difference pair for a 6-bit class"))
+    p = _with_json(gsub.add_parser("represent", help="difference pair for a 6-bit class"))
     p.add_argument("bits")
     p.set_defaults(func=_cmd_galois_represent)
 
-    c = sub.add_parser("cohom", help="cohomology dimensions of line bundles")
+
+def _cohom_commands(c) -> None:
     csub = c.add_subparsers(dest="cmd", required=True)
     for name, handler, helptext in [
         ("dims", _cmd_cohom_dims, "h0, h1, h2 and chi"),
         ("h0", _cmd_cohom_h0, "global sections by base-locus peeling"),
         ("witness", _cmd_cohom_witness, "non-effectivity witness, if any"),
     ]:
-        p = with_json(csub.add_parser(name, help=helptext))
+        p = _with_json(csub.add_parser(name, help=helptext))
         p.add_argument("divisor")
         p.set_defaults(func=handler)
-    p = with_json(csub.add_parser("les", help="solve exact-sequence dimensions"))
+    p = _with_json(csub.add_parser("les", help="solve exact-sequence dimensions"))
     p.add_argument("dims", help="comma list, ? for unknowns, e.g. 0,1,?,0")
     p.set_defaults(func=_cmd_cohom_les)
 
-    ch = sub.add_parser("chern", help="Chern character arithmetic")
+
+def _chern_commands(ch) -> None:
     chsub = ch.add_subparsers(dest="cmd", required=True)
-    p = with_json(chsub.add_parser("pairing", help="Euler pairing of two characters"))
+    p = _with_json(chsub.add_parser("pairing", help="Euler pairing of two characters"))
     p.add_argument("--lhs", required=True, metavar="r,c1,c2")
     p.add_argument("--rhs", required=True, metavar="r,c1,c2")
     p.set_defaults(func=_cmd_chern_pairing)
-    p = with_json(chsub.add_parser("chi", help="Euler characteristic of a line bundle"))
+    p = _with_json(chsub.add_parser("chi", help="Euler characteristic of a line bundle"))
     p.add_argument("divisor")
     p.set_defaults(func=_cmd_chern_chi)
 
-    o = sub.add_parser("order", help="the cyclic order layer")
+
+def _order_commands(o) -> None:
     osub = o.add_subparsers(dest="cmd", required=True)
-    with_json(osub.add_parser("model", help="the standard disjoint-pair gauge")) \
+    _with_json(osub.add_parser("model", help="the standard disjoint-pair gauge")) \
         .set_defaults(func=_cmd_order_model)
-    p = with_json(osub.add_parser("ext", help="Ext dimensions between split bundles"))
+    p = _with_json(osub.add_parser("ext", help="Ext dimensions between split bundles"))
     p.add_argument("--src", required=True, help="semicolon-separated summands")
     p.add_argument("--tgt", required=True, help="semicolon-separated summands")
     p.add_argument("--induced", action="store_true",
                    help="treat --src as a single induced-module generator (A level)")
     p.set_defaults(func=_cmd_order_ext)
-    p = with_json(osub.add_parser("replay", help="re-run a vanishing chain"))
+    p = _with_json(osub.add_parser("replay", help="re-run a vanishing chain"))
     p.add_argument("chain", choices=["orthogonality", "exceptional"])
     p.set_defaults(func=_cmd_order_replay)
 
-    r = sub.add_parser("replay", help="run registered verification claims")
+
+def _replay_commands(r) -> None:
     r.add_argument("target", help="'all' or a claim identifier")
     r.add_argument("--json", action="store_true", help="emit JSON lines")
     r.add_argument("--filter", default=None, metavar="PREFIX",
                    help="with 'all': only claims whose id starts with PREFIX")
     r.set_defaults(func=_cmd_replay)
 
+
+# group name -> (help, builder of its arguments and subcommands)
+_GROUPS = {
+    "galois": ("involution and group cohomology", _galois_commands),
+    "cohom": ("cohomology dimensions of line bundles", _cohom_commands),
+    "chern": ("Chern character arithmetic", _chern_commands),
+    "order": ("the cyclic order layer", _order_commands),
+    "replay": ("run registered verification claims", _replay_commands),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The dp2 parser; given argv, only the group it names gets its subcommands.
+
+    argparse hands everything after the first positional argument to that
+    group's parser, and the root takes no option but --help, so the first
+    group name in argv is the only group the parse can enter.  With no argv,
+    or none naming a group, every group is built.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dp2",
+        description="exact lattice, cohomology and order bookkeeping "
+                    "on the degree-2 del Pezzo double plane")
+    sub = parser.add_subparsers(dest="group", required=True)
+    named = next((a for a in argv or () if a in _GROUPS), None)
+    for name, (helptext, add_commands) in _GROUPS.items():
+        group = sub.add_parser(name, help=helptext)
+        if named is None or named == name:
+            add_commands(group)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (NotACocycle, TrivialClass, Infeasible) as exc:

@@ -17,17 +17,21 @@ With G of order two acting through sigma, the first group cohomology is
     H^1(G, Pic Y) = ker(1 + sigma) / im(1 - sigma) = (Z/2)^6,
 
 computed here mechanically by integer kernel/column-space reduction and a
-Smith normal form, not copied from the literature.  The class of a cocycle k
-in the basis e_i = Ei - Ei+1 is read off by one exact integer solve of
+Smith normal form, not copied from the literature.  Since
+(1 + sigma)D = (D.H) H, a class D is a cocycle exactly when D.H = 0, and that
+one product is the cocycle test.  The class of a cocycle k in the basis
+e_i = Ei - Ei+1 is read off by one exact integer solve of
 k = sum x_i e_i + (an element of im(1 - sigma)): the x_i mod 2 are its bits.
 That reading is well defined only because H^1 = (Z/2)^6 and the e_i generate
 it, and the derivation checks both once per process.  It solves only for the
 seven vectors of a kernel basis: the class is linear and ker(1 + sigma) is
 saturated, so any other cocycle's class is its kernel coordinates (an integer
-left inverse of the basis applied to it) times those seven, mod 2.  The
-module also houses the cocycle tests and the representation of every nonzero
-class as a difference of two exceptional curves (with a disjoint-pair
-refinement).
+left inverse of the basis applied to it) times those seven, mod 2.  Reduced
+mod 2 that linear map is a 6-bit parity code per coordinate of (L, E1..E7),
+and the class of a cocycle is the XOR of the codes of its odd coordinates.
+The module also houses the cocycle tests and the representation of every
+nonzero class as a difference of two exceptional curves (with a
+disjoint-pair refinement).
 """
 
 from __future__ import annotations
@@ -162,10 +166,11 @@ def _one_minus_solver():
 
 @lru_cache(maxsize=1)
 def _cohomology():
-    """(kernel, image, divisors, class_rows), derived once per process.
+    """(kernel, image, divisors, codes), derived once per process.
 
-    ``divisors`` is the full elementary divisor list, units included.  The
-    class of a cocycle d is class_rows . d mod 2 (see class_of).
+    ``divisors`` is the full elementary divisor list, units included.
+    ``codes`` holds one 6-bit parity code per coordinate: the class of a
+    cocycle d is the XOR of the codes of its odd coordinates (see class_of).
     """
     kernel = [DivClass(tuple(v)) for v in intlinalg.kernel_basis(_one_plus_sign_sigma(1))]
     image = [DivClass(tuple(v)) for v in intlinalg.column_space_basis(_one_plus_sign_sigma(-1))]
@@ -205,11 +210,11 @@ def _cohomology():
         if row is None:
             raise InternalInconsistency("ker(1+sigma) has no integer left inverse")
         p_rows.append(row)
-    class_rows = tuple(
-        tuple(sum(x[i] * p[col] for x, p in zip(kernel_classes, p_rows)) % 2
-              for col in range(RANK))
-        for i in range(6))
-    return tuple(kernel), tuple(image), tuple(divisors), class_rows
+    codes = tuple(
+        sum((sum(x[i] * p[col] for x, p in zip(kernel_classes, p_rows)) % 2) << i
+            for i in range(6))
+        for col in range(RANK))
+    return tuple(kernel), tuple(image), tuple(divisors), codes
 
 
 def one_plus_sigma_kernel() -> list[DivClass]:
@@ -228,7 +233,8 @@ def h1_galois() -> list[int]:
 
 
 def _require_cocycle(d: DivClass) -> None:
-    if (sigma(d) + d) != ZERO:
+    # (1 + sigma)d = (d.H) H, which vanishes exactly when d.H does
+    if d.dot(H) != 0:
         raise NotACocycle(f"(1+sigma) does not kill {d!r}")
 
 
@@ -241,8 +247,11 @@ def is_coboundary(d: DivClass) -> bool:
 def class_of(d: DivClass) -> CohClass:
     """Coordinates of a cocycle in the basis (e1, ..., e6) of H^1."""
     _require_cocycle(d)
-    return CohClass(tuple(sum(a * b for a, b in zip(row, d.coeffs)) % 2
-                          for row in _cohomology()[3]))
+    code = 0
+    for c, coordinate_code in zip(d.coeffs, _cohomology()[3]):
+        if c & 1:
+            code ^= coordinate_code
+    return CohClass(tuple((code >> i) & 1 for i in range(6)))
 
 
 # ---------------------------------------------------------------------------

@@ -132,32 +132,39 @@ ZERO = DivClass.of(0, 0, 0, 0, 0, 0, 0, 0)
 L = DivClass.of(1, 0, 0, 0, 0, 0, 0, 0)
 
 
+def _curve_class(degree: int, fill: int, value: int, *points: int) -> DivClass:
+    """degree*L + sum(m_k Ek) with m_k = value at the given points and fill elsewhere."""
+    coeffs = [fill] * RANK
+    coeffs[0] = degree
+    for i in points:
+        if not 1 <= i <= 7:
+            raise ValueError(f"index out of range: {i}")
+        coeffs[i] = value
+    return DivClass(tuple(coeffs))
+
+
 def E(i: int) -> DivClass:
     """The i-th exceptional class of the blow-up, 1 <= i <= 7."""
-    if not 1 <= i <= 7:
-        raise ValueError(f"index out of range: {i}")
-    coeffs = [0] * RANK
-    coeffs[i] = 1
-    return DivClass(tuple(coeffs))
+    return _curve_class(0, 0, 1, i)
 
 
 def line_through(i: int, j: int) -> DivClass:
     """Strict transform L - Ei - Ej of the line through the i-th and j-th points."""
     if i == j:
         raise ValueError("indices must be distinct")
-    return L - E(i) - E(j)
+    return _curve_class(1, 0, -1, i, j)
 
 
 def conic_through(i: int, j: int) -> DivClass:
     """Strict transform 2L - sum(Ek, k != i, j) of the conic through the other five points."""
     if i == j:
         raise ValueError("indices must be distinct")
-    return 2 * L - sum((E(k) for k in range(1, 8) if k not in (i, j)), ZERO)
+    return _curve_class(2, -1, 0, i, j)
 
 
 def cubic_with_node(i: int) -> DivClass:
     """Strict transform 3L - 2Ei - sum(Ek, k != i) of the nodal cubic through all seven points."""
-    return 3 * L - 2 * E(i) - sum((E(k) for k in range(1, 8) if k != i), ZERO)
+    return _curve_class(3, -1, -2, i)
 
 
 def canonical_class() -> DivClass:
@@ -298,20 +305,32 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
     """Every class D with D.H = degree and D.D = selfint, in lexicographic order.
 
     Exhaustive over the box of coordinate_bounds, which provably holds all of
-    them.  m7 is solved from D.H = 3d + m1 + ... + m7, and partial sums of the
-    mi^2 beyond d^2 - selfint are pruned.
+    them.  The prefix (d, m1..m5) is searched, pruning partial sums of the
+    mi^2 beyond d^2 - selfint.  The last pair is then solved in closed form:
+    D.H = 3d + m1 + ... + m7 fixes s = m6 + m7 and D.D fixes
+    q = m6^2 + m7^2, so (m6 - m7)^2 = 2q - s^2 must be a square r^2, and
+    m6 = (s - r)/2, then (s + r)/2 when r > 0 (r and s have equal parity).
     """
     bounds = coordinate_bounds(degree, selfint)
     if bounds is None:
         return []
     (d_lo, d_hi), *m_bounds = bounds
-    last_lo, last_hi = m_bounds[-1]
+    (lo6, hi6), (lo7, hi7) = m_bounds[-2:]
     found: list[DivClass] = []
 
     def extend(prefix: tuple[int, ...], degree_left: int, squares_left: int) -> None:
-        if len(prefix) == RANK - 1:
-            if last_lo <= degree_left <= last_hi and degree_left * degree_left == squares_left:
-                found.append(DivClass((*prefix, degree_left)))
+        if len(prefix) == RANK - 2:
+            diff_square = 2 * squares_left - degree_left * degree_left
+            if diff_square < 0:
+                return
+            r = math.isqrt(diff_square)
+            if r * r != diff_square:
+                return
+            first = (degree_left - r) // 2
+            for m6 in (first, first + r) if r else (first,):
+                m7 = degree_left - m6
+                if lo6 <= m6 <= hi6 and lo7 <= m7 <= hi7:
+                    found.append(DivClass((*prefix, m6, m7)))
             return
         lo, hi = m_bounds[len(prefix) - 1]
         for m in range(lo, hi + 1):

@@ -82,26 +82,25 @@ def _census_matches_scan() -> dict[str, Any]:
 
 def _sigma_permutation() -> dict[str, Any]:
     curves = _curve_classes()
+    images = [sigma(c) for c in curves]
     index = {c: i for i, c in enumerate(curves)}
-    image = [index.get(sigma(c)) for c in curves]
+    image = [index.get(s) for s in images]
     fixed = sum(1 for i, j in enumerate(image) if i == j)
     closed = all(j is not None for j in image)
     transpositions = sum(1 for i, j in enumerate(image) if j is not None and j > i
                          and image[j] == i)
-    pairs_sum = all(sigma(c) + c == H for c in curves)
+    pairs_sum = all(s + c == H for s, c in zip(images, curves))
     return {"closed": closed, "fixed_points": fixed,
             "transpositions": transpositions, "pairs_sum_to_H": pairs_sum}
 
 
 def _isometry_check() -> bool:
     basis = [L] + [E(i) for i in range(1, 8)]
-    for a in basis:
-        if sigma(sigma(a)) != a:
-            return False
-        for b in basis:
-            if intersect(sigma(a), sigma(b)) != intersect(a, b):
-                return False
-    return True
+    images = [sigma(a) for a in basis]
+    if any(sigma(s) != a for s, a in zip(images, basis)):
+        return False
+    return all(intersect(sa, sb) == intersect(a, b)
+               for sa, a in zip(images, basis) for sb, b in zip(images, basis))
 
 
 def _kernel_generated_by_h_and_e() -> bool:
@@ -116,10 +115,10 @@ def _image_generated_as_stated() -> bool:
 
 
 def _same_lattice(gens_a: list[DivClass], gens_b: list[DivClass]) -> bool:
-    mat_a = [[d.coeffs[i] for d in gens_a] for i in range(8)]
-    mat_b = [[d.coeffs[i] for d in gens_b] for i in range(8)]
-    return (all(intlinalg.solve(mat_a, list(d.coeffs)) is not None for d in gens_b)
-            and all(intlinalg.solve(mat_b, list(d.coeffs)) is not None for d in gens_a))
+    in_a = intlinalg.solver([[d.coeffs[i] for d in gens_a] for i in range(8)])
+    in_b = intlinalg.solver([[d.coeffs[i] for d in gens_b] for i in range(8)])
+    return (all(in_a(list(d.coeffs)) is not None for d in gens_b)
+            and all(in_b(list(d.coeffs)) is not None for d in gens_a))
 
 
 def _all_differences_are_cocycles() -> bool:
@@ -303,7 +302,8 @@ def _from_chain(chain: Callable[[], dict[str, ClaimReport]], claim_id: str) -> C
 def _registry() -> list[Claim]:
     e3e1 = E(3) - E(1)
     l23e1 = line_through(2, 3) - E(1)
-    model = order.standard_model()
+    # the model is built (once, cached) only when a claim that needs it runs
+    model = order.standard_model
 
     claims = [
         # --- lattice census -------------------------------------------------
@@ -427,10 +427,10 @@ def _registry() -> list[Claim]:
                0, lambda: cohom.chi_line(l23e1)),
         _claim("CHI.FH", "chi(F - H) = 0",
                "Euler characteristic input of the connecting-Ext computation",
-               0, lambda: cohom.chi_line(model.f - H)),
+               0, lambda: cohom.chi_line(model().f - H)),
         _claim("CHI.LCLASS", "chi(E - E') = 0",
                "Euler characteristic input of the exceptionality computation",
-               0, lambda: cohom.chi_line(model.lclass)),
+               0, lambda: cohom.chi_line(model().lclass)),
         _claim("VAN.E3E1", "E3 - E1 has no cohomology at all",
                "vanishing table of the branch-pair computation",
                [0, 0, 0], lambda: _dims_list(e3e1)),
@@ -439,16 +439,16 @@ def _registry() -> list[Claim]:
                [0, 0, 0], lambda: _dims_list(l23e1)),
         _claim("H0.MFMH", "|-F - H| is empty",
                "vanishing input for h2 of the moduli modules",
-               0, lambda: cohom.h0(-model.f - H)),
+               0, lambda: cohom.h0(-model().f - H)),
         _claim("H0.FMH", "|F - H| is empty",
                "vanishing input for the connecting Ext",
-               0, lambda: cohom.h0(model.f - H)),
+               0, lambda: cohom.h0(model().f - H)),
         _claim("H0.EE", "|E - E'| is empty",
                "vanishing input for exceptionality of the twisted order",
-               0, lambda: cohom.h0(model.lclass)),
+               0, lambda: cohom.h0(model().lclass)),
         _claim("H0.EPEH", "|E' - E - H| is empty",
                "vanishing input for exceptionality of the twisted order",
-               0, lambda: cohom.h0(-model.lclass - H)),
+               0, lambda: cohom.h0(-model().lclass - H)),
         _claim("H0.MH", "|-H| is empty",
                "vanishing input of the orthogonality chain",
                0, lambda: cohom.h0(-H)),
@@ -460,111 +460,111 @@ def _registry() -> list[Claim]:
                0, lambda: cohom.h0(E(1) - line_through(2, 3) - H)),
         _claim("H2.F", "h2(F) = 0",
                "vanishing of top cohomology of the fibre class",
-               0, lambda: cohom.h2(model.f)),
+               0, lambda: cohom.h2(model().f)),
         _claim("WIT.MFH", "H witnesses that -F - H is not effective (product -4)",
                "non-effectivity via an irreducible class of nonnegative square",
-               {"witness": "H", "product": -4}, lambda: _witness_info(-model.f - H)),
+               {"witness": "H", "product": -4}, lambda: _witness_info(-model().f - H)),
         _claim("WIT.FMH", "L witnesses that F - H is not effective (product -2)",
                "non-effectivity via the pulled-back line",
-               {"witness": "L", "product": -2}, lambda: _witness_info(model.f - H)),
+               {"witness": "L", "product": -2}, lambda: _witness_info(model().f - H)),
         _claim("WIT.E3E1", "L - E1 witnesses that E3 - E1 is not effective (product -1)",
                "non-effectivity via the strict transform of a line through one point",
                {"witness": "L-E1", "product": -1}, lambda: _witness_info(e3e1)),
         _claim("TWIST.H2F", "h2 of the ideal-twisted fibre class vanishes",
                "top cohomology through the point sequence",
-               0, lambda: cohom.cohom_ideal_twist(model.f).h2),
+               0, lambda: cohom.cohom_ideal_twist(model().f).h2),
         _claim("TWIST.F", "generic ideal twist of the fibre class has dimensions (1, 0, 0)",
                "derived",
-               [1, 0, 0], lambda: list(cohom.cohom_ideal_twist(model.f).as_tuple())),
+               [1, 0, 0], lambda: list(cohom.cohom_ideal_twist(model().f).as_tuple())),
         _claim("LES.H2SQ", "the point sequence squeezes h2(I_p F) to 0",
                "exact-sequence squeeze for top cohomology",
-               0, lambda: cohom.les_solve([0, None, cohom.h2(model.f)]).entry(1)),
+               0, lambda: cohom.les_solve([0, None, cohom.h2(model().f)]).entry(1)),
         _claim("LES.EX2SQ", "the point sequence squeezes Ext^2(O(F), I_p F) to 0",
                "exact-sequence squeeze in the branch-pair computation",
                0, lambda: cohom.les_solve([0, None, cohom.h2(ZERO)]).entry(1)),
         _claim("EX2.EXT2FO", "Ext^2(O(F), O) vanishes (Serre dual of |F - H|)",
                "second Ext input of the branch-pair computation",
-               0, lambda: cohom.h2(-model.f)),
+               0, lambda: cohom.h2(-model().f)),
         _claim("EX2.CONC", "Ext^2 out of the ideal twist into any module vanishes",
                "conclusion of the second-Ext vanishing chain",
                {"ext2_F_ideal": 0, "ext2_F_module": 0, "ext2_ideal_module": 0},
-               lambda: _ex2_conclusion(model)),
+               lambda: _ex2_conclusion(model())),
         _claim("H2.M", "the moduli modules have no top cohomology",
                "top-cohomology vanishing for the moduli modules",
-               0, lambda: _h2_of_module(model)),
+               0, lambda: _h2_of_module(model())),
 
         # --- Chern characters -------------------------------------------------
         _claim("CH.M1", "ch of a moduli module is 2 + [F] + [-1]",
                "Chern character of the rank-2 modules",
                {"rank": 2, "c1": list(F.coeffs), "ch2_times_2": -2},
-               lambda: _ch_payload(model.module_char())),
+               lambda: _ch_payload(model().module_char())),
         _claim("CH.M0STAR", "ch of the dual is 2 - [F] + [-1]",
                "Chern character of the dual module",
                {"rank": 2, "c1": list((-F).coeffs), "ch2_times_2": -2},
-               lambda: _ch_payload(chern.dual(model.module_char()))),
+               lambda: _ch_payload(chern.dual(model().module_char()))),
         _claim("CH.PROD", "the product character is 4 + [0] + [-4]",
                "product of the dual and direct characters",
                {"rank": 4, "c1": list(ZERO.coeffs), "ch2_times_2": -8},
-               lambda: _ch_payload(chern.mult(chern.dual(model.module_char()),
-                                              model.module_char()))),
+               lambda: _ch_payload(chern.mult(chern.dual(model().module_char()),
+                                              model().module_char()))),
         _claim("CHI.ZERO", "the Euler pairing of two moduli modules vanishes",
                "Euler pairing of the rank-2 moduli modules",
-               0, lambda: chern.euler_pairing(model.module_char(), model.module_char())),
+               0, lambda: chern.euler_pairing(model().module_char(), model().module_char())),
         _claim("CHI.OO", "chi(O, O) = 1",
                "Euler characteristic of the structure sheaf",
                1, lambda: chern.euler_pairing(chern.CH_O, chern.CH_O)),
         _claim("CK.CHERN", "the extension O -> M -> I_p(F) has total ch (2, F, c2 = 1)",
                "module structure as an extension by an ideal-sheaf twist",
                {"rank": 2, "c1_is_F": True, "c2": 1, "ch2_times_2": -2},
-               lambda: _ck_extension(model)),
+               lambda: _ck_extension(model())),
         _claim("DISC.MINC2",
                "minimal second Chern classes: 0 for the order's own determinant, "
                "1 for the H-twist (the semistability bound alone only gives 0)",
                "minimal second Chern classes of order line bundles",
                {"n0_bogomolov_bound": 0, "n0_minimum": 0,
                 "n1_bogomolov_bound": 0, "n1_minimum": 1},
-               lambda: _minimal_c2_table(model)),
+               lambda: _minimal_c2_table(model())),
         _claim("DISC.DELTA", "the discriminant of (rank 2, c1 = F, c2 = 1) is 4",
-               "derived", 4, lambda: chern.discriminant(2, model.f, 1)),
+               "derived", 4, lambda: chern.discriminant(2, model().f, 1)),
         _claim("C1.N0", "c1 = E - E' satisfies the determinant constraint with n = 0",
                "allowed first Chern classes of order line bundles",
-               0, lambda: chern.c1_constraint(model.lclass, model.lclass)),
+               0, lambda: chern.c1_constraint(model().lclass, model().lclass)),
         _claim("C1.N1", "c1 = F satisfies the determinant constraint with n = 1",
                "first Chern class of the moduli modules",
-               1, lambda: chern.c1_constraint(model.f, model.lclass)),
+               1, lambda: chern.c1_constraint(model().f, model().lclass)),
         _claim("C1.H.INVALID", "H itself violates the determinant constraint",
-               "derived", None, lambda: chern.c1_constraint(H, model.lclass)),
+               "derived", None, lambda: chern.c1_constraint(H, model().lclass)),
 
         # --- the order layer --------------------------------------------------
         _claim("ORD.MODEL", "the standard gauge: disjoint pair (E1, C12) with F = E1 + L12",
                "normal form of the order after contracting suitably",
                {"e": "E1", "eprime": "C12", "sigma_eprime": "L12", "disjoint": True,
                 "f_is_F": True, "f_square": 0, "f_degree": 2, "c1_constraint_n": 1},
-               lambda: _model_payload(model)),
+               lambda: _model_payload(model())),
         _claim("RAM.SPLITS",
                "the six split modules over the branch points of the moduli curve",
                "split restrictions at the ramification points",
                {"splits": [["E1", "L12"], ["L23", "E3"], ["L24", "E4"],
                            ["L25", "E5"], ["L26", "E6"], ["L27", "E7"]],
                 "slopes_all_one": True, "chern_all_2_2_1": True, "induced_match": True},
-               lambda: _ramification_payload(model)),
+               lambda: _ramification_payload(model())),
         _claim("EXTA1.IV", "Ext_A between the first two branch-point modules vanishes",
                "branch-pair computation, fully worked case",
-               [0, 0, 0], lambda: _case_iv_triple(model, 1, 2)),
+               [0, 0, 0], lambda: _case_iv_triple(model(), 1, 2)),
         _claim("EXTA1.IV.B", "Ext_A between branch-point modules 1 and 3 vanishes",
-               "derived", [0, 0, 0], lambda: _case_iv_triple(model, 1, 3)),
+               "derived", [0, 0, 0], lambda: _case_iv_triple(model(), 1, 3)),
         _claim("EXTA1.IV.C", "Ext_A between branch-point modules 2 and 3 vanishes",
-               "derived", [0, 0, 0], lambda: _case_iv_triple(model, 2, 3)),
+               "derived", [0, 0, 0], lambda: _case_iv_triple(model(), 2, 3)),
         _claim("EXTA2.ZERO",
                "vanishing Y-level Ext forces both A-level summands to vanish",
                "degree-2 vanishing through the endomorphism decomposition",
                {"ext_y": [0, 0, 0], "ext2_A_forced": 0, "ext2_twisted_forced": 0},
-               lambda: _exta2_payload(model)),
+               lambda: _exta2_payload(model())),
         _claim("EXT01.EQ", "ext^0 = ext^1 at the Y level for module pairs",
                "equality of Hom and first Ext dimensions for the moduli modules",
                {"selfpair_ext0_eq_ext1": True, "crosspair_ext0_eq_ext1": True,
                 "selfpair": [2, 2], "crosspair": [0, 0]},
-               lambda: _ext01_payload(model)),
+               lambda: _ext01_payload(model())),
         _claim("KS.CASEII",
                "(conditional on cited stability) Y-level ext^1 = 1 with tangent input 1 "
                "forces the untwisted A-level ext^1 to 0",
@@ -575,7 +575,7 @@ def _registry() -> list[Claim]:
                "twisted first-order deformation",
                "tangent-space bookkeeping at the branch points",
                {"ext_y": [2, 2, 0], "complement_ext1": 1},
-               lambda: _ks_split_payload(model)),
+               lambda: _ks_split_payload(model())),
         _from_chain(_exceptional_reports, "ORD.EXC.HL"),
         _from_chain(_exceptional_reports, "ORD.EXC"),
         _from_chain(_exceptional_reports, "ORD.CANON"),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .errors import refuse_mutation
@@ -58,6 +57,8 @@ class ClaimReport:
         }
 
     def to_json(self) -> str:
+        import json  # only --json output needs it
+
         return json.dumps(self.to_dict(), sort_keys=True, default=_jsonable)
 
     def status(self) -> str:

@@ -1,10 +1,15 @@
 import collections
 import json
 import random
+from pathlib import Path
 
-from dp2 import galois
+import pytest
+
+from dp2 import cli, galois
 from dp2.cli import main
 from dp2.picard import parse_divisor
+
+QUERIES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "queries.json"
 
 
 def run(capsys, *argv):
@@ -185,6 +190,50 @@ def test_replay_unknown_claim(capsys):
 def test_bad_divisor_is_usage_error(capsys):
     code, out, err = run(capsys, "cohom", "dims", "Q5")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the per-group parser answers like the full one
+# ---------------------------------------------------------------------------
+
+
+def _parse_outcome(capsys, parser, argv):
+    # the parsed arguments, or the exit status of a help or usage error
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+_GROUP_ARGVS = [["--help"], ["nosuch"]] + [
+    argv for group in ("galois", "cohom", "chern", "order", "replay")
+    for argv in ([group, "--help"], [group], [group, "nosuch"])]
+
+
+@pytest.mark.parametrize("argv", _GROUP_ARGVS, ids=" ".join)
+def test_group_parser_matches_the_full_parser(capsys, argv):
+    # compared in one interpreter, so the argparse version cannot matter
+    expected = _parse_outcome(capsys, cli.build_parser(), argv)
+    assert _parse_outcome(capsys, cli.build_parser(argv), argv) == expected
+
+
+def test_frozen_query_pool(capsys, monkeypatch):
+    # the 200 reference queries of the benchmark, each with exit status,
+    # stdout and stderr prefix
+    monkeypatch.delenv("DP2_VERBOSE", raising=False)
+    entries = json.loads(QUERIES.read_text())
+    assert len(entries) == 200
+    for entry in entries:
+        try:
+            code = main(entry["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
+        prefix = entry["stderr_prefix"]
+        assert err.startswith(prefix) if prefix else err == "", (entry["argv"], err)
 
 
 # ---------------------------------------------------------------------------

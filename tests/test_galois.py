@@ -163,6 +163,29 @@ def test_class_of_basis_and_chains():
         class_of(L)
 
 
+def test_cocycle_test_agrees_with_applying_one_plus_sigma(rng):
+    # oracle: sigma(d) + d == ZERO, on random classes and on random cocycles,
+    # half of them knocked off ker(1 + sigma) by one unit vector
+    kernel = one_plus_sigma_kernel()
+    classes = [DivClass(tuple(rng.randint(-5, 5) for _ in range(8))) for _ in range(300)]
+    for _ in range(300):
+        d = sum((rng.randint(-3, 3) * k for k in kernel), ZERO)
+        if rng.random() < 0.5:
+            j = rng.randrange(8)
+            d = d + DivClass(tuple(int(i == j) for i in range(8)))
+        classes.append(d)
+    outcomes = set()
+    for d in classes:
+        is_cocycle = sigma(d) + d == ZERO
+        outcomes.add(is_cocycle)
+        if is_cocycle:
+            galois._require_cocycle(d)
+        else:
+            with pytest.raises(NotACocycle, match=r"^\(1\+sigma\) does not kill DivClass"):
+                galois._require_cocycle(d)
+    assert outcomes == {True, False}
+
+
 def test_class_of_matches_brute_force(rng):
     # independent oracle: subtract each subset of the e_i and test membership
     # in im(1 - sigma) by exact solving; the inputs are 25 random cocycles and

@@ -129,6 +129,22 @@ def test_enumerator_finds_the_126_roots_of_e7():
     assert [r.coeffs for r in roots] == sorted(r.coeffs for r in roots)
 
 
+def brute_force_classes_with(degree, selfint):
+    # every point of the coordinate_bounds box, in lexicographic order, kept
+    # when D.H = 3d + m1 + ... + m7 and D.D = d^2 - m1^2 - ... - m7^2 match
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in coordinate_bounds(degree, selfint)))
+    return [v for v in box
+            if 3 * v[0] + sum(v[1:]) == degree and raw_intersect(v, v) == selfint]
+
+
+@pytest.mark.parametrize("degree, selfint", [(0, -2), (1, -1), (2, 0), (2, -2), (3, 1)])
+def test_enumerator_equals_brute_force_over_the_box(degree, selfint):
+    found = [d.coeffs for d in classes_with(degree, selfint)]
+    assert found == brute_force_classes_with(degree, selfint)
+    # the closed-form last pair has one root when m6 = m7 and two otherwise
+    assert any(v[6] == v[7] for v in found) and any(v[6] != v[7] for v in found)
+
+
 def test_enumerator_empty_when_no_class_exists():
     # E7 is even, and v.v > 0 is impossible in the negative definite H-perp
     assert classes_with(0, -1) == []
@@ -217,7 +233,8 @@ def test_importing_the_cli_loads_no_dataclasses():
     # every fresh `python -m dp2 ...` pays for its imports; dataclasses alone
     # brings inspect, ast and dis with it
     script = ("import sys, dp2.cli\n"
-              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n")
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'json'}"
+              " & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -96,6 +96,18 @@ def test_replay_runs_without_numpy():
     assert proc.stdout.splitlines()[-1] == "[] 0"
 
 
+def test_one_claim_without_the_model_skips_the_derivation():
+    # CHI.OO needs neither the order model nor the galois derivation behind it
+    script = ("from dp2 import galois, order, replay\n"
+              "assert replay.run_one('CHI.OO').passed\n"
+              "print(galois._cohomology.cache_info().currsize,"
+              " order.standard_model.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
+
+
 @pytest.mark.parametrize("flags, golden", [
     ([], ROOT / "perfbench" / "data" / "replay_all.txt"),
     (["--json"], ROOT / "tests" / "data" / "replay_all.jsonl"),

@@ -17,18 +17,30 @@ An expression starting with "-" must be shielded from option parsing: write
 Every command takes --json for machine-readable output.  Exit status is 0 on
 success, 1 on a failed verification or domain error, 2 on usage errors.
 ``DP2_VERBOSE=1`` expands the text output of the replay commands.
+
+The grammar is one table, ``_COMMANDS``: per group and command its help,
+handler and ``add_argument`` specifications, in the order argparse adds them.
+Two readers share it.  ``_match`` answers a well-formed command directly:
+exact group and command names, positionals not starting with "-", each
+option of the table at most once as ``--name`` or ``--name value`` (a value
+not starting with "-"), at most one "--" with only positionals after it, the
+right number of positionals, every required option, and values inside their
+choices.  Anything else (``-h``, ``--name=value``, an abbreviation, a repeated
+option, an error) goes to ``build_parser``, which builds the argparse parser
+from the same table, so help, usage and error messages come from argparse
+alone.  A well-formed command therefore never imports argparse, and each
+handler imports only the layer it uses.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
-from . import chern, cohom, galois, order, picard, replay
+from . import picard
 from .errors import Infeasible, NotACocycle, TrivialClass, UnknownClaim
-from .galois import CohClass
 from .picard import DivClass, format_divisor, intersect, parse_divisor
 
 
@@ -39,6 +51,8 @@ def _print_json(payload) -> None:
 
 
 def _parse_bits(text: str) -> CohClass:
+    from .galois import CohClass
+
     s = text.replace(",", "").replace(" ", "")
     if len(s) != 6 or any(c not in "01" for c in s):
         raise ValueError(f"need six bits like 101000, got {text!r}")
@@ -46,6 +60,8 @@ def _parse_bits(text: str) -> CohClass:
 
 
 def _parse_split(text: str) -> order.SplitBundle:
+    from . import order
+
     parts = [p for p in text.split(";") if p.strip()]
     if not parts:
         raise ValueError(f"empty split bundle {text!r}")
@@ -53,6 +69,8 @@ def _parse_split(text: str) -> order.SplitBundle:
 
 
 def _parse_chern_triple(text: str) -> chern.ChernChar:
+    from . import chern
+
     parts = text.split(",")
     if len(parts) < 3:
         raise ValueError(f"need rank,c1,c2 in {text!r}")
@@ -76,6 +94,8 @@ def _parse_les(text: str) -> list[int | None]:
 
 
 def _cmd_galois_h1(args) -> int:
+    from . import galois
+
     divisors = galois.h1_galois()
     order = math.prod(divisors)
     if args.json:
@@ -89,6 +109,8 @@ def _cmd_galois_h1(args) -> int:
 
 
 def _cmd_galois_class(args) -> int:
+    from . import galois
+
     d = parse_divisor(args.divisor)
     bits = galois.class_of(d)
     payload = {
@@ -105,6 +127,8 @@ def _cmd_galois_class(args) -> int:
 
 
 def _cmd_galois_represent(args) -> int:
+    from . import galois
+
     bits = _parse_bits(args.bits)
     e, eprime = galois.represent_as_difference(bits)
     check = galois.class_of(e.cls - eprime.cls)
@@ -132,6 +156,8 @@ def _cmd_galois_represent(args) -> int:
 
 
 def _dims_payload(d: DivClass) -> dict:
+    from . import cohom
+
     dims = cohom.cohom_dims(d)
     w = cohom.noneffective_witness(d)
     return {
@@ -157,6 +183,8 @@ def _cmd_cohom_dims(args) -> int:
 
 
 def _cmd_cohom_h0(args) -> int:
+    from . import cohom
+
     d = parse_divisor(args.divisor)
     value = cohom.h0(d)
     if args.json:
@@ -167,6 +195,8 @@ def _cmd_cohom_h0(args) -> int:
 
 
 def _cmd_cohom_witness(args) -> int:
+    from . import cohom
+
     d = parse_divisor(args.divisor)
     w = cohom.noneffective_witness(d)
     if args.json:
@@ -182,6 +212,8 @@ def _cmd_cohom_witness(args) -> int:
 
 
 def _cmd_cohom_les(args) -> int:
+    from . import cohom
+
     result = cohom.les_solve(cohom.DimSequence(tuple(_parse_les(args.dims))))
     entries = [e if isinstance(e, int) else {"lo": e.lo, "hi": e.hi}
                for e in result.entries]
@@ -196,6 +228,8 @@ def _cmd_cohom_les(args) -> int:
 
 
 def _cmd_chern_pairing(args) -> int:
+    from . import chern
+
     lhs = _parse_chern_triple(args.lhs)
     rhs = _parse_chern_triple(args.rhs)
     value = chern.euler_pairing(lhs, rhs)
@@ -211,6 +245,8 @@ def _cmd_chern_pairing(args) -> int:
 
 
 def _cmd_chern_chi(args) -> int:
+    from . import cohom
+
     d = parse_divisor(args.divisor)
     if args.json:
         _print_json({"divisor": format_divisor(d), "chi": cohom.chi_line(d)})
@@ -220,6 +256,8 @@ def _cmd_chern_chi(args) -> int:
 
 
 def _cmd_order_model(args) -> int:
+    from . import chern, galois, order
+
     model = order.standard_model()
     payload = {
         "e": model.e.name,
@@ -245,6 +283,8 @@ def _cmd_order_model(args) -> int:
 
 
 def _cmd_order_ext(args) -> int:
+    from . import order
+
     src = _parse_split(args.src)
     tgt = _parse_split(args.tgt)
     if args.induced:
@@ -264,6 +304,8 @@ def _cmd_order_ext(args) -> int:
 
 
 def _cmd_order_replay(args) -> int:
+    from . import order
+
     if args.chain == "orthogonality":
         reports = order.replay_orthogonality()
     else:
@@ -272,16 +314,22 @@ def _cmd_order_replay(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import replay
+
     if args.target == "all":
         reports = replay.run_all(prefix=args.filter)
+        if args.filter is not None and not reports:
+            raise ValueError(f"no claim id starts with {args.filter!r}")
     else:
-        if args.filter:
+        if args.filter is not None:
             raise ValueError("--filter only applies to 'replay all'")
         reports = [replay.run_one(args.target)]
     return _emit_reports(reports, args.json)
 
 
 def _emit_reports(reports, as_json: bool) -> int:
+    from . import replay
+
     if as_json:
         print(replay.render_json_lines(reports))
     else:
@@ -291,84 +339,114 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table, its direct matcher and the argparse parser built from it
 # ---------------------------------------------------------------------------
 
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON"})
+_DIVISOR = ("divisor", {})
 
-def _with_json(p):
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    return p
-
-
-def _galois_commands(g) -> None:
-    gsub = g.add_subparsers(dest="cmd", required=True)
-    _with_json(gsub.add_parser("h1", help="elementary divisors of H^1")) \
-        .set_defaults(func=_cmd_galois_h1)
-    p = _with_json(gsub.add_parser("class", help="class of a cocycle in the e-basis"))
-    p.add_argument("divisor")
-    p.set_defaults(func=_cmd_galois_class)
-    p = _with_json(gsub.add_parser("represent", help="difference pair for a 6-bit class"))
-    p.add_argument("bits")
-    p.set_defaults(func=_cmd_galois_represent)
-
-
-def _cohom_commands(c) -> None:
-    csub = c.add_subparsers(dest="cmd", required=True)
-    for name, handler, helptext in [
-        ("dims", _cmd_cohom_dims, "h0, h1, h2 and chi"),
-        ("h0", _cmd_cohom_h0, "global sections by base-locus peeling"),
-        ("witness", _cmd_cohom_witness, "non-effectivity witness, if any"),
-    ]:
-        p = _with_json(csub.add_parser(name, help=helptext))
-        p.add_argument("divisor")
-        p.set_defaults(func=handler)
-    p = _with_json(csub.add_parser("les", help="solve exact-sequence dimensions"))
-    p.add_argument("dims", help="comma list, ? for unknowns, e.g. 0,1,?,0")
-    p.set_defaults(func=_cmd_cohom_les)
-
-
-def _chern_commands(ch) -> None:
-    chsub = ch.add_subparsers(dest="cmd", required=True)
-    p = _with_json(chsub.add_parser("pairing", help="Euler pairing of two characters"))
-    p.add_argument("--lhs", required=True, metavar="r,c1,c2")
-    p.add_argument("--rhs", required=True, metavar="r,c1,c2")
-    p.set_defaults(func=_cmd_chern_pairing)
-    p = _with_json(chsub.add_parser("chi", help="Euler characteristic of a line bundle"))
-    p.add_argument("divisor")
-    p.set_defaults(func=_cmd_chern_chi)
-
-
-def _order_commands(o) -> None:
-    osub = o.add_subparsers(dest="cmd", required=True)
-    _with_json(osub.add_parser("model", help="the standard disjoint-pair gauge")) \
-        .set_defaults(func=_cmd_order_model)
-    p = _with_json(osub.add_parser("ext", help="Ext dimensions between split bundles"))
-    p.add_argument("--src", required=True, help="semicolon-separated summands")
-    p.add_argument("--tgt", required=True, help="semicolon-separated summands")
-    p.add_argument("--induced", action="store_true",
-                   help="treat --src as a single induced-module generator (A level)")
-    p.set_defaults(func=_cmd_order_ext)
-    p = _with_json(osub.add_parser("replay", help="re-run a vanishing chain"))
-    p.add_argument("chain", choices=["orthogonality", "exceptional"])
-    p.set_defaults(func=_cmd_order_replay)
-
-
-def _replay_commands(r) -> None:
-    r.add_argument("target", help="'all' or a claim identifier")
-    r.add_argument("--json", action="store_true", help="emit JSON lines")
-    r.add_argument("--filter", default=None, metavar="PREFIX",
-                   help="with 'all': only claims whose id starts with PREFIX")
-    r.set_defaults(func=_cmd_replay)
-
-
-# group name -> (help, builder of its arguments and subcommands)
-_GROUPS = {
-    "galois": ("involution and group cohomology", _galois_commands),
-    "cohom": ("cohomology dimensions of line bundles", _cohom_commands),
-    "chern": ("Chern character arithmetic", _chern_commands),
-    "order": ("the cyclic order layer", _order_commands),
-    "replay": ("run registered verification claims", _replay_commands),
+# group -> (help, {command: (help, handler, arguments)}); each argument is
+# (name, add_argument keywords), of which _match reads action="store_true",
+# required and choices.  The command None stands for the group itself, which
+# then takes the arguments and has no subcommands.
+_COMMANDS = {
+    "galois": ("involution and group cohomology", {
+        "h1": ("elementary divisors of H^1", _cmd_galois_h1, [_JSON]),
+        "class": ("class of a cocycle in the e-basis", _cmd_galois_class,
+                  [_JSON, _DIVISOR]),
+        "represent": ("difference pair for a 6-bit class", _cmd_galois_represent,
+                      [_JSON, ("bits", {})]),
+    }),
+    "cohom": ("cohomology dimensions of line bundles", {
+        "dims": ("h0, h1, h2 and chi", _cmd_cohom_dims, [_JSON, _DIVISOR]),
+        "h0": ("global sections by base-locus peeling", _cmd_cohom_h0, [_JSON, _DIVISOR]),
+        "witness": ("non-effectivity witness, if any", _cmd_cohom_witness,
+                    [_JSON, _DIVISOR]),
+        "les": ("solve exact-sequence dimensions", _cmd_cohom_les,
+                [_JSON, ("dims", {"help": "comma list, ? for unknowns, e.g. 0,1,?,0"})]),
+    }),
+    "chern": ("Chern character arithmetic", {
+        "pairing": ("Euler pairing of two characters", _cmd_chern_pairing,
+                    [_JSON, ("--lhs", {"required": True, "metavar": "r,c1,c2"}),
+                     ("--rhs", {"required": True, "metavar": "r,c1,c2"})]),
+        "chi": ("Euler characteristic of a line bundle", _cmd_chern_chi, [_JSON, _DIVISOR]),
+    }),
+    "order": ("the cyclic order layer", {
+        "model": ("the standard disjoint-pair gauge", _cmd_order_model, [_JSON]),
+        "ext": ("Ext dimensions between split bundles", _cmd_order_ext,
+                [_JSON, ("--src", {"required": True, "help": "semicolon-separated summands"}),
+                 ("--tgt", {"required": True, "help": "semicolon-separated summands"}),
+                 ("--induced", {"action": "store_true", "help": "treat --src as a single "
+                                "induced-module generator (A level)"})]),
+        "replay": ("re-run a vanishing chain", _cmd_order_replay,
+                   [_JSON, ("chain", {"choices": ["orthogonality", "exceptional"]})]),
+    }),
+    "replay": ("run registered verification claims", {
+        None: (None, _cmd_replay,
+               [("target", {"help": "'all' or a claim identifier"}),
+                ("--json", {"action": "store_true", "help": "emit JSON lines"}),
+                ("--filter", {"metavar": "PREFIX",
+                              "help": "with 'all': only claims whose id starts with PREFIX"})]),
+    }),
 }
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed argv, else None.
+
+    Accepts only the forms listed in the module docstring; every other argv,
+    valid or not, is left to ``build_parser``.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    commands = _COMMANDS[argv[0]][1]
+    values = {"group": argv[0]}
+    if None in commands:
+        _, handler, arguments = commands[None]
+        tokens = iter(argv[1:])
+    elif len(argv) > 1 and argv[1] in commands:
+        _, handler, arguments = commands[argv[1]]
+        tokens = iter(argv[2:])
+        values["cmd"] = argv[1]
+    else:
+        return None
+    specs = dict(arguments)
+    given, words = {}, []
+    for token in tokens:
+        if token == "--":
+            words += tokens
+            if "--" in words:
+                return None
+        elif not token.startswith("-"):
+            words.append(token)
+        elif token not in specs or token in given:
+            return None
+        elif specs[token].get("action") == "store_true":
+            given[token] = True
+        else:
+            given[token] = next(tokens, "-")
+            if given[token].startswith("-"):
+                return None
+    positionals = [name for name, _ in arguments if not name.startswith("-")]
+    if len(words) != len(positionals):
+        return None
+    given.update(zip(positionals, words))
+    for name, spec in arguments:
+        if name in given:
+            if "choices" in spec and given[name] not in spec["choices"]:
+                return None
+            values[name.lstrip("-")] = given[name]
+        elif spec.get("required"):
+            return None
+        else:
+            values[name.lstrip("-")] = False if spec.get("action") == "store_true" else None
+    return SimpleNamespace(**values, func=handler)
+
+
+def _add_arguments(parser, handler, arguments) -> None:
+    for name, spec in arguments:
+        parser.add_argument(name, **spec)
+    parser.set_defaults(func=handler)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -379,22 +457,32 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     group name in argv is the only group the parse can enter.  With no argv,
     or none naming a group, every group is built.
     """
+    import argparse  # only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="dp2",
         description="exact lattice, cohomology and order bookkeeping "
                     "on the degree-2 del Pezzo double plane")
     sub = parser.add_subparsers(dest="group", required=True)
-    named = next((a for a in argv or () if a in _GROUPS), None)
-    for name, (helptext, add_commands) in _GROUPS.items():
-        group = sub.add_parser(name, help=helptext)
-        if named is None or named == name:
-            add_commands(group)
+    named = next((a for a in argv or () if a in _COMMANDS), None)
+    for group, (helptext, commands) in _COMMANDS.items():
+        group_parser = sub.add_parser(group, help=helptext)
+        if named not in (None, group):
+            continue
+        if None in commands:
+            _add_arguments(group_parser, *commands[None][1:])
+            continue
+        csub = group_parser.add_subparsers(dest="cmd", required=True)
+        for cmd, (cmd_help, handler, arguments) in commands.items():
+            _add_arguments(csub.add_parser(cmd, help=cmd_help), handler, arguments)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _match(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (NotACocycle, TrivialClass, Infeasible) as exc:

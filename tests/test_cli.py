@@ -1,6 +1,8 @@
 import collections
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,6 +178,18 @@ def test_replay_filter(capsys):
     assert "PIC.COUNT56" in out and "GAL.H1" not in out
 
 
+def test_replay_filter_matching_no_claim_is_usage_error(capsys):
+    code, out, err = run(capsys, "replay", "all", "--filter", "NOPE")
+    assert (code, out) == (2, "")
+    assert err == "usage error: no claim id starts with 'NOPE'\n"
+
+
+def test_replay_filter_on_one_claim_is_usage_error_even_when_empty(capsys):
+    code, out, err = run(capsys, "replay", "PIC.HH", "--filter", "")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --filter only applies to 'replay all'\n"
+
+
 def test_replay_single(capsys):
     code, out, err = run(capsys, "replay", "L53")
     assert code == 0
@@ -207,9 +221,19 @@ def _parse_outcome(capsys, parser, argv):
     return result, captured.out, captured.err
 
 
+# one usage error per subcommand: a missing positional or required option
+_USAGE_ERRORS = {
+    ("galois", "h1"): ["extra"], ("galois", "class"): [], ("galois", "represent"): [],
+    ("cohom", "dims"): [], ("cohom", "h0"): [], ("cohom", "witness"): [],
+    ("cohom", "les"): [], ("chern", "pairing"): ["--lhs", "1,0,0"], ("chern", "chi"): [],
+    ("order", "model"): ["extra"], ("order", "ext"): ["--src", "E1"], ("order", "replay"): [],
+}
+
 _GROUP_ARGVS = [["--help"], ["nosuch"]] + [
     argv for group in ("galois", "cohom", "chern", "order", "replay")
-    for argv in ([group, "--help"], [group], [group, "nosuch"])]
+    for argv in ([group, "--help"], [group], [group, "nosuch"])] + [
+    argv for (group, cmd), tail in _USAGE_ERRORS.items()
+    for argv in ([group, cmd, "--help"], [group, cmd, *tail])]
 
 
 @pytest.mark.parametrize("argv", _GROUP_ARGVS, ids=" ".join)
@@ -217,6 +241,92 @@ def test_group_parser_matches_the_full_parser(capsys, argv):
     # compared in one interpreter, so the argparse version cannot matter
     expected = _parse_outcome(capsys, cli.build_parser(), argv)
     assert _parse_outcome(capsys, cli.build_parser(argv), argv) == expected
+
+
+# ---------------------------------------------------------------------------
+# the direct matcher answers like argparse, or leaves the argv to it
+# ---------------------------------------------------------------------------
+
+# argv, and whether _match takes it (else it is left to argparse)
+_EDGE_ARGVS = [
+    (["cohom", "h0", "--json", "H"], True),
+    (["cohom", "h0", "H", "--json"], True),
+    (["order", "ext", "--tgt", "E3;L23", "--src", "E1", "--induced"], True),
+    (["cohom", "dims", "--", "--json"], True),
+    (["cohom", "dims", "--json", "--", "-F-H"], True),
+    (["cohom", "dims", "H", "--"], True),
+    (["replay", "--filter", "PIC.", "all", "--json"], True),
+    (["order", "replay", "exceptional"], True),
+    (["cohom", "h0", "--json", "--json", "H"], False),
+    (["order", "ext", "--src", "E1", "--src", "E2", "--tgt", "E3"], False),
+    (["cohom", "h0", "--js", "H"], False),
+    (["order", "ext", "--src=E1", "--tgt", "E3"], False),
+    (["cohom", "h0", "-h"], False),
+    (["cohom", "h0", "--help"], False),
+    (["cohom", "dims", "--", "--", "H"], False),
+    (["cohom", "dims", "--", "H", "--"], False),
+    (["cohom", "dims", "-F-H"], False),
+    (["order", "replay", "bogus"], False),
+    (["order", "ext", "--src", "E1"], False),
+    (["cohom", "h0", "H", "E1"], False),
+    (["replay", "all", "--filter", "--json"], False),
+    (["order", "ext", "--src", "-E1", "--tgt", "E3"], False),
+    (["--", "cohom", "h0", "H"], False),
+    (["cohom", "--", "h0", "H"], False),
+    (["cohom", "nosuch"], False),
+    ([], False),
+]
+
+
+def _argparse_vars(capsys, argv):
+    try:
+        result = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        result = None
+    capsys.readouterr()
+    return result
+
+
+def _assert_match_agrees(capsys, argv):
+    matched = cli._match(list(argv))
+    if matched is not None:
+        assert vars(matched) == _argparse_vars(capsys, argv), argv
+    return matched is not None
+
+
+def test_matcher_takes_every_pool_query_as_argparse_parses_it(capsys):
+    entries = json.loads(QUERIES.read_text())
+    assert all(_assert_match_agrees(capsys, entry["argv"]) for entry in entries)
+
+
+def test_matcher_agrees_with_argparse_on_the_fuzz_argvs(capsys):
+    taken = sum(_assert_match_agrees(capsys, argv) for argv in _fuzz_argvs())
+    assert taken > 100  # the "--name=value" options are left to argparse
+
+
+@pytest.mark.parametrize("argv,taken", _EDGE_ARGVS,
+                         ids=[" ".join(argv) or "(empty)" for argv, _ in _EDGE_ARGVS])
+def test_matcher_edge_forms(capsys, argv, taken):
+    assert _assert_match_agrees(capsys, argv) is taken
+
+
+def test_well_formed_commands_load_neither_argparse_nor_unused_layers():
+    script = ("import sys\n"
+              "from dp2 import cli\n"
+              "assert cli.main(['cohom', 'h0', 'H']) == 0\n"
+              "print(sorted({'argparse', 'gettext', 'dp2.galois', 'dp2.order', 'dp2.replay'}"
+              " & set(sys.modules)))\n"
+              "assert cli.main(['replay', 'all']) == 0\n"
+              "print(sorted({'argparse'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["3", "[]"] and lines[-1] == "[]"
+    proc = subprocess.run([sys.executable, "-m", "dp2", "cohom", "h0", "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: dp2 cohom h0 [-h] [--json] divisor\n")
 
 
 def test_frozen_query_pool(capsys, monkeypatch):
@@ -287,13 +397,18 @@ def _random_argv(rng):
     return ["cohom", "les", "--", _random_les(rng)]
 
 
-def test_cli_fuzz_exits_with_documented_codes(capsys):
+def _fuzz_argvs():
     rng = random.Random(31337)
-    codes = collections.Counter()
     for _ in range(500):
         argv = _random_argv(rng)
         if rng.random() < 0.3:
             argv.insert(2, "--json")  # after the subcommand, before any "--"
+        yield argv
+
+
+def test_cli_fuzz_exits_with_documented_codes(capsys):
+    codes = collections.Counter()
+    for argv in _fuzz_argvs():
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed options with 2

@@ -231,9 +231,9 @@ def test_importing_picard_loads_no_other_layer():
 
 def test_importing_the_cli_loads_no_dataclasses():
     # every fresh `python -m dp2 ...` pays for its imports; dataclasses alone
-    # brings inspect, ast and dis with it
+    # brings inspect, ast and dis with it, and argparse brings gettext
     script = ("import sys, dp2.cli\n"
-              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'json'}"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'json', 'argparse'}"
               " & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)

@@ -20,7 +20,7 @@ class of the order's invertible summand plus an integer multiple of H.
 
 from __future__ import annotations
 
-from .errors import HalfIntegerLeak, refuse_mutation
+from .errors import HalfIntegerLeak, Value
 from .picard import ZERO, DivClass, H, intersect
 
 __all__ = [
@@ -40,11 +40,10 @@ __all__ = [
 ]
 
 
-class ChernChar:
+class ChernChar(Value):
     """(rank, degree-1 class, doubled degree-2 part)."""
 
     __slots__ = ("rank", "c", "s2")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, rank: int, c: DivClass, s2: int):
         # s2 is twice the degree-2 coefficient
@@ -54,20 +53,6 @@ class ChernChar:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s2", s2)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self.c, self.s2) == (other.rank, other.c, other.s2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.c, self.s2))
-
-    def __repr__(self) -> str:
-        return f"ChernChar(rank={self.rank!r}, c={self.c!r}, s2={self.s2!r})"
-
-    def __reduce__(self):
-        return ChernChar, (self.rank, self.c, self.s2)
 
     @property
     def c2(self) -> int:

@@ -328,14 +328,14 @@ def _cmd_replay(args) -> int:
 
 
 def _emit_reports(reports, as_json: bool) -> int:
-    from . import replay
+    from . import reporting
 
     if as_json:
-        print(replay.render_json_lines(reports))
+        print(reporting.render_json_lines(reports))
     else:
         verbose = os.environ.get("DP2_VERBOSE", "") not in ("", "0")
-        print(replay.render_text(reports, verbose=verbose))
-    return 1 if replay.failures(reports) else 0
+        print(reporting.render_text(reports, verbose=verbose))
+    return 1 if reporting.failures(reports) else 0
 
 
 # ---------------------------------------------------------------------------

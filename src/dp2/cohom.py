@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import Infeasible, InternalInconsistency, refuse_mutation
+from .errors import Infeasible, InternalInconsistency, Value
 from .picard import DivClass, E, H, L, enumerate_exceptional, intersect
 
 __all__ = [
@@ -49,30 +49,15 @@ __all__ = [
 ]
 
 
-class CohomDims:
+class CohomDims(Value):
     """The triple (h0, h1, h2) of a line bundle (or ideal-sheaf twist)."""
 
     __slots__ = ("h0", "h1", "h2")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, h0: int, h1: int, h2: int):
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.h0, self.h1, self.h2) == (other.h0, other.h1, other.h2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.h0, self.h1, self.h2))
-
-    def __repr__(self) -> str:
-        return f"CohomDims(h0={self.h0!r}, h1={self.h1!r}, h2={self.h2!r})"
-
-    def __reduce__(self):
-        return CohomDims, (self.h0, self.h1, self.h2)
 
     @property
     def chi(self) -> int:
@@ -180,29 +165,14 @@ def cohom_ideal_twist(d: DivClass) -> CohomDims:
 # ---------------------------------------------------------------------------
 
 
-class Interval:
+class Interval(Value):
     """Integers lo..hi inclusive; hi = None means unbounded above."""
 
     __slots__ = ("lo", "hi")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, lo: int, hi: int | None):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __reduce__(self):
-        return Interval, (self.lo, self.hi)
 
     def is_empty(self) -> bool:
         return self.hi is not None and self.lo > self.hi
@@ -226,11 +196,10 @@ class Interval:
         return f"[{self.lo}..{'inf' if self.hi is None else self.hi}]"
 
 
-class DimSequence:
+class DimSequence(Value):
     """Dimensions of an exact sequence, zero maps at both ends; None = unknown."""
 
     __slots__ = ("entries",)
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, entries: tuple[int | None, ...]):
         if not entries:
@@ -240,48 +209,19 @@ class DimSequence:
                 raise ValueError(f"entries must be nonnegative ints or None, got {e!r}")
         object.__setattr__(self, "entries", entries)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"DimSequence(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return DimSequence, (self.entries,)
-
     @staticmethod
     def of(*entries: int | None) -> "DimSequence":
         return DimSequence(tuple(entries))
 
 
-class LesResult:
+class LesResult(Value):
     """Solved entries (int where forced, Interval otherwise) plus rank intervals."""
 
     __slots__ = ("entries", "ranks")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, entries: tuple[int | Interval, ...], ranks: tuple[Interval, ...]):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ranks", ranks)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.entries, self.ranks) == (other.entries, other.ranks)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries, self.ranks))
-
-    def __repr__(self) -> str:
-        return f"LesResult(entries={self.entries!r}, ranks={self.ranks!r})"
-
-    def __reduce__(self):
-        return LesResult, (self.entries, self.ranks)
 
     @property
     def determined(self) -> bool:
@@ -298,7 +238,7 @@ def _image(prev: Interval, d: int) -> Interval:
     # r_i = d - r_{i-1} for r_{i-1} in prev, clamped to r_i >= 0
     lo = 0 if prev.hi is None else d - prev.hi
     hi = d - prev.lo
-    return Interval(max(lo, 0), hi).meet(Interval(0, None))
+    return Interval(max(lo, 0), hi)
 
 
 def les_solve(seq: DimSequence) -> LesResult:

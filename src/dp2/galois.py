@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import intlinalg
-from .errors import InternalInconsistency, NotACocycle, TrivialClass, refuse_mutation
+from .errors import InternalInconsistency, NotACocycle, TrivialClass, Value
 from .picard import (
     RANK,
     ZERO,
@@ -96,30 +96,15 @@ def e_class(i: int) -> DivClass:
     return E(i) - E(i + 1)
 
 
-class CohClass:
+class CohClass(Value):
     """An element of H^1(G, Pic Y) in coordinates (e1, ..., e6) over F_2."""
 
     __slots__ = ("bits",)
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, bits: tuple[int, int, int, int, int, int]):
         if len(bits) != 6 or any(b not in (0, 1) for b in bits):
             raise ValueError(f"need six bits, got {bits!r}")
         object.__setattr__(self, "bits", bits)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bits,))
-
-    def __repr__(self) -> str:
-        return f"CohClass(bits={self.bits!r})"
-
-    def __reduce__(self):
-        return CohClass, (self.bits,)
 
     @staticmethod
     def zero() -> "CohClass":

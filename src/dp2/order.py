@@ -35,9 +35,10 @@ from functools import cached_property, lru_cache
 from . import reporting
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
 from .cohom import chi_line, cohom_dims, h0, h1, h2, les_solve
-from .errors import Infeasible, refuse_mutation
+from .errors import Infeasible, Value
 from .galois import class_of, sigma
 from .picard import (
+    ZERO,
     DivClass,
     E,
     ExceptionalCurve,
@@ -69,11 +70,11 @@ Triple = tuple[int, int, int]
 PartialTriple = tuple[int | None, int | None, int | None]
 
 
-class OrderModel:
+class OrderModel(Value):
     """A choice of disjoint exceptional pair (E, E') defining the cyclic order."""
 
-    # no __slots__: cached_property stores ramification in the instance __dict__
-    __setattr__ = __delattr__ = refuse_mutation
+    # cached_property stores ramification in __dict__, which is not a field
+    __slots__ = ("e", "eprime", "__dict__")
 
     def __init__(self, e: ExceptionalCurve, eprime: ExceptionalCurve):
         object.__setattr__(self, "e", e)
@@ -84,17 +85,6 @@ class OrderModel:
             raise ValueError("the order would be unramified: [E - E'] is trivial")
         if self.f.selfint != 0 or intersect(self.f, H) != 2:
             raise ValueError("model classes violate the fibre constraints")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.e, self.eprime) == (other.e, other.eprime)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.e, self.eprime))
-
-    def __repr__(self) -> str:
-        return f"OrderModel(e={self.e!r}, eprime={self.eprime!r})"
 
     @property
     def lclass(self) -> DivClass:
@@ -159,28 +149,13 @@ def standard_model() -> OrderModel:
     return OrderModel(classify(E(1)), classify(conic_through(1, 2)))
 
 
-class SplitBundle:
+class SplitBundle(Value):
     """A direct sum of line bundles, recorded by its summand classes."""
 
     __slots__ = ("summands",)
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, summands: tuple[DivClass, ...]):
         object.__setattr__(self, "summands", summands)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.summands == other.summands
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.summands,))
-
-    def __repr__(self) -> str:
-        return f"SplitBundle(summands={self.summands!r})"
-
-    def __reduce__(self):
-        return SplitBundle, (self.summands,)
 
     @staticmethod
     def of(*summands: DivClass) -> "SplitBundle":
@@ -192,10 +167,7 @@ class SplitBundle:
 
     @property
     def c1(self) -> DivClass:
-        total = self.summands[0]
-        for s in self.summands[1:]:
-            total = total + s
-        return total
+        return sum(self.summands, ZERO)
 
     @property
     def c2(self) -> int:
@@ -221,7 +193,7 @@ def induced_split(d: DivClass, model: OrderModel | None = None) -> SplitBundle:
     return SplitBundle.of(d, model.lclass + sigma(d))
 
 
-class ExtTable:
+class ExtTable(Value):
     """Ext dimensions (degrees 0, 1, 2) at the Y level and, when known, the A level.
 
     ``ext_a_twisted`` is the complementary summand Ext_A(M, Au x N) of the
@@ -230,7 +202,6 @@ class ExtTable:
     """
 
     __slots__ = ("ext_y", "ext_a", "ext_a_twisted", "forced")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, ext_y: PartialTriple = (None, None, None),
                  ext_a: PartialTriple = (None, None, None),
@@ -243,22 +214,6 @@ class ExtTable:
         object.__setattr__(self, "ext_a", ext_a)
         object.__setattr__(self, "ext_a_twisted", ext_a_twisted)
         object.__setattr__(self, "forced", forced)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.ext_y, self.ext_a, self.ext_a_twisted, self.forced)
-                    == (other.ext_y, other.ext_a, other.ext_a_twisted, other.forced))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ext_y, self.ext_a, self.ext_a_twisted, self.forced))
-
-    def __repr__(self) -> str:
-        return (f"ExtTable(ext_y={self.ext_y!r}, ext_a={self.ext_a!r}, "
-                f"ext_a_twisted={self.ext_a_twisted!r}, forced={self.forced!r})")
-
-    def __reduce__(self):
-        return ExtTable, (self.ext_y, self.ext_a, self.ext_a_twisted, self.forced)
 
     def y_triple(self) -> Triple:
         if any(v is None for v in self.ext_y):
@@ -273,14 +228,7 @@ class ExtTable:
 
 def ext_y_split(src: SplitBundle, tgt: SplitBundle) -> ExtTable:
     """Y-level Ext between sums of line bundles: sums of h^i of differences."""
-    dims = [0, 0, 0]
-    for a in src.summands:
-        for b in tgt.summands:
-            dd = cohom_dims(b - a)
-            dims[0] += dd.h0
-            dims[1] += dd.h1
-            dims[2] += dd.h2
-    return ExtTable(ext_y=(dims[0], dims[1], dims[2]))
+    return ExtTable(ext_y=_summed_dims(b - a for a in src.summands for b in tgt.summands))
 
 
 def ext_a_induced(d: DivClass, tgt: SplitBundle) -> ExtTable:
@@ -290,13 +238,18 @@ def ext_a_induced(d: DivClass, tgt: SplitBundle) -> ExtTable:
     N of h^i(B - D).  The caller is responsible for ``tgt`` being the
     Y-restriction of an actual A-module; this is recorded, not checked.
     """
-    dims = [0, 0, 0]
-    for b in tgt.summands:
-        dd = cohom_dims(b - d)
-        dims[0] += dd.h0
-        dims[1] += dd.h1
-        dims[2] += dd.h2
-    return ExtTable(ext_a=(dims[0], dims[1], dims[2]), forced=(True, True, True))
+    return ExtTable(ext_a=_summed_dims(b - d for b in tgt.summands), forced=(True, True, True))
+
+
+def _summed_dims(classes) -> Triple:
+    """(sum of h0, sum of h1, sum of h2) over the given line-bundle classes."""
+    h0s = h1s = h2s = 0
+    for c in classes:
+        dd = cohom_dims(c)
+        h0s += dd.h0
+        h1s += dd.h1
+        h2s += dd.h2
+    return (h0s, h1s, h2s)
 
 
 def decomposition_solve(ext_y: Triple, known_a: PartialTriple = (None, None, None)) -> ExtTable:

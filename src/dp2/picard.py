@@ -25,7 +25,7 @@ import re
 from enum import Enum
 from functools import lru_cache
 
-from .errors import refuse_mutation
+from .errors import Value
 
 __all__ = [
     "DivClass",
@@ -53,11 +53,10 @@ __all__ = [
 RANK = 8
 
 
-class DivClass:
+class DivClass(Value):
     """A divisor class d*L + m1*E1 + ... + m7*E7, stored as (d, m1, ..., m7)."""
 
     __slots__ = ("coeffs",)
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, coeffs: tuple[int, int, int, int, int, int, int, int]):
         if len(coeffs) != RANK:
@@ -66,6 +65,8 @@ class DivClass:
             raise TypeError("coordinates must be integers")
         object.__setattr__(self, "coeffs", coeffs)
 
+    # the key of h0's cache and of _by_class: Value's generic __eq__ and
+    # __hash__ would take about twice as long per call
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.coeffs == other.coeffs
@@ -73,9 +74,6 @@ class DivClass:
 
     def __hash__(self):
         return hash((self.coeffs,))
-
-    def __reduce__(self):
-        return DivClass, (self.coeffs,)
 
     @staticmethod
     def of(*coeffs: int) -> "DivClass":
@@ -191,11 +189,10 @@ class Family(Enum):
     D = "D"  # strict transforms of nodal cubics through all seven points
 
 
-class ExceptionalCurve:
+class ExceptionalCurve(Value):
     """A (-1)-curve class together with its family tag and point indices."""
 
     __slots__ = ("cls", "family", "indices")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, cls: DivClass, family: Family, indices: tuple[int, ...]):
         if cls.selfint != -1 or cls.dot(H) != 1:
@@ -203,22 +200,6 @@ class ExceptionalCurve:
         object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "indices", indices)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.cls, self.family, self.indices)
-                    == (other.cls, other.family, other.indices))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cls, self.family, self.indices))
-
-    def __repr__(self) -> str:
-        return (f"ExceptionalCurve(cls={self.cls!r}, family={self.family!r}, "
-                f"indices={self.indices!r})")
-
-    def __reduce__(self):
-        return ExceptionalCurve, (self.cls, self.family, self.indices)
 
     @property
     def name(self) -> str:

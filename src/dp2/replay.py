@@ -46,7 +46,7 @@ from .picard import (
     intersect,
     line_through,
 )
-from .reporting import ClaimReport
+from .reporting import ClaimReport, failures, render_json_lines, render_text
 
 __all__ = ["ClaimReport", "all_claim_ids", "run_one", "run_all",
            "failures", "render_text", "render_json_lines"]
@@ -609,27 +609,3 @@ def run_all(prefix: str | None = None) -> list[ClaimReport]:
         if prefix is None or claim_id.startswith(prefix):
             reports.append(produce())
     return reports
-
-
-def failures(reports: list[ClaimReport]) -> list[ClaimReport]:
-    return [r for r in reports if not r.passed and not r.known_discrepancy]
-
-
-def render_text(reports: list[ClaimReport], verbose: bool = False) -> str:
-    lines = []
-    for r in reports:
-        lines.append(f"{r.status():4s} {r.id:28s} {r.description}")
-        if verbose or not r.passed:
-            lines.append(f"     expected: {r.expected}")
-            lines.append(f"     computed: {r.computed}")
-            lines.append(f"     source:   {r.paper_ref}")
-    passed = sum(1 for r in reports if r.passed)
-    flagged = sum(1 for r in reports if r.known_discrepancy)
-    failed = len(failures(reports))
-    lines.append(f"{len(reports)} claims: {passed} passed, {failed} failed, "
-                 f"{flagged} flagged known-discrepancy")
-    return "\n".join(lines)
-
-
-def render_json_lines(reports: list[ClaimReport]) -> str:
-    return "\n".join(r.to_json() for r in reports)

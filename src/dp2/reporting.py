@@ -1,18 +1,17 @@
-"""Claim reports: the unit of output of the verification replay."""
+"""Claim reports, the unit of output of the verification replay, and their text and JSON forms."""
 
 from __future__ import annotations
 
 from typing import Any
 
-from .errors import refuse_mutation
+from .errors import Value
 
 
-class ClaimReport:
+class ClaimReport(Value):
     """One verified statement: what was expected, what came out, and whether they agree."""
 
     __slots__ = ("id", "description", "expected", "computed", "passed", "paper_ref",
                  "known_discrepancy")
-    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, id: str, description: str, expected: Any, computed: Any, passed: bool,
                  paper_ref: str, known_discrepancy: bool = False):
@@ -23,27 +22,6 @@ class ClaimReport:
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "paper_ref", paper_ref)
         object.__setattr__(self, "known_discrepancy", known_discrepancy)
-
-    def _fields(self) -> tuple:
-        return (self.id, self.description, self.expected, self.computed, self.passed,
-                self.paper_ref, self.known_discrepancy)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"ClaimReport(id={self.id!r}, description={self.description!r}, "
-                f"expected={self.expected!r}, computed={self.computed!r}, "
-                f"passed={self.passed!r}, paper_ref={self.paper_ref!r}, "
-                f"known_discrepancy={self.known_discrepancy!r})")
-
-    def __reduce__(self):
-        return ClaimReport, self._fields()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -85,3 +63,27 @@ def report(claim_id: str, description: str, paper_ref: str, expected: Any,
         paper_ref=paper_ref,
         known_discrepancy=known_discrepancy,
     )
+
+
+def failures(reports: list[ClaimReport]) -> list[ClaimReport]:
+    return [r for r in reports if not r.passed and not r.known_discrepancy]
+
+
+def render_text(reports: list[ClaimReport], verbose: bool = False) -> str:
+    lines = []
+    for r in reports:
+        lines.append(f"{r.status():4s} {r.id:28s} {r.description}")
+        if verbose or not r.passed:
+            lines.append(f"     expected: {r.expected}")
+            lines.append(f"     computed: {r.computed}")
+            lines.append(f"     source:   {r.paper_ref}")
+    passed = sum(1 for r in reports if r.passed)
+    flagged = sum(1 for r in reports if r.known_discrepancy)
+    failed = len(failures(reports))
+    lines.append(f"{len(reports)} claims: {passed} passed, {failed} failed, "
+                 f"{flagged} flagged known-discrepancy")
+    return "\n".join(lines)
+
+
+def render_json_lines(reports: list[ClaimReport]) -> str:
+    return "\n".join(r.to_json() for r in reports)

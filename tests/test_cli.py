@@ -329,6 +329,18 @@ def test_well_formed_commands_load_neither_argparse_nor_unused_layers():
     assert proc.stdout.startswith("usage: dp2 cohom h0 [-h] [--json] divisor\n")
 
 
+def test_order_replay_does_not_load_the_claim_registry():
+    # one order chain renders through reporting; the 80-claim registry stays unloaded
+    script = ("import sys\n"
+              "from dp2 import cli\n"
+              "assert cli.main(['order', 'replay', 'exceptional']) == 0\n"
+              "print('dp2.replay' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_frozen_query_pool(capsys, monkeypatch):
     # the 200 reference queries of the benchmark, each with exit status,
     # stdout and stderr prefix

@@ -1,20 +1,26 @@
 """The contract of the package's immutable value types.
 
-Each type compares and hashes by its field tuple, prints as
+Every value type subclasses ``errors.Value``, which derives the contract from
+its ``__slots__``: it compares and hashes by its field tuple, prints as
 ``Name(field=value, ...)`` (``reporting`` falls back to ``str()`` for JSON,
 so the frozen replay output depends on it), refuses assignment and deletion,
-and checks its fields on construction.
+and copies and pickles through its constructor.  Each type checks its fields
+on construction in its own ``__init__``.  Every subclass of ``Value`` in the
+package must have a case in ``CASES``.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import dp2
 from dp2 import order, reporting
 from dp2.chern import ChernChar, ch_of
 from dp2.cohom import CohomDims, DimSequence, Interval, LesResult, les_solve
-from dp2.errors import Infeasible
+from dp2.errors import Infeasible, Value
 from dp2.galois import CohClass
 from dp2.order import ExtTable, OrderModel, SplitBundle, standard_model
 from dp2.picard import DivClass, E, ExceptionalCurve, F, Family, H, L, classify, conic_through
@@ -85,6 +91,17 @@ def test_equality_and_hash_follow_the_field_tuple(a, twin, text, fields, name):
 
 
 @pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
+def test_every_field_takes_part_in_equality(a, twin, text, fields, name):
+    names = [n for n in type(a).__slots__ if n != "__dict__"]
+    assert len(names) == len(fields)
+    for changed in names:
+        other = object.__new__(type(a))  # bypasses the constructor's checks
+        for n, value in zip(names, fields):
+            object.__setattr__(other, n, object() if n == changed else value)
+        assert a != other and not a == other
+
+
+@pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
 def test_fields_are_read_only(a, twin, text, fields, name):
     before = getattr(a, name)
     with pytest.raises(AttributeError):
@@ -131,3 +148,28 @@ def test_order_model_ramification_is_computed_once(monkeypatch):
     assert model.ramification is first
     assert len(calls) == 1
     assert model == standard_model()  # the cached value takes no part in equality
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_type_has_a_case():
+    for info in pkgutil.iter_modules(dp2.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            importlib.import_module(f"dp2.{info.name}")
+    covered = {type(a) for a, *_ in CASES}
+    assert set(_subclasses(Value)) == covered and len(covered) == len(CASES)
+
+
+def test_cached_ramification_is_not_a_field():
+    model = OrderModel(classify(E(1)), classify(conic_through(1, 2)))
+    before = (repr(model), hash(model))
+    assert model.ramification
+    assert "ramification" in vars(model)
+    assert (repr(model), hash(model)) == before
+    assert model == standard_model()
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone == model and "ramification" not in vars(clone)

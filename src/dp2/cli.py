@@ -16,28 +16,18 @@ An expression starting with "-" must be shielded from option parsing: write
 
 Every command takes --json for machine-readable output.  Exit status is 0 on
 success, 1 on a failed verification or domain error, 2 on usage errors.
-``DP2_VERBOSE=1`` expands the text output of the replay commands.
 
 The grammar is one table, ``_COMMANDS``: per group and command its help,
 handler and ``add_argument`` specifications, in the order argparse adds them.
-Two readers share it.  ``_match`` answers a well-formed command directly:
-exact group and command names, positionals not starting with "-", each
-option of the table at most once as ``--name`` or ``--name value`` (a value
-not starting with "-"), at most one "--" with only positionals after it, the
-right number of positionals, every required option, and values inside their
-choices.  Anything else (``-h``, ``--name=value``, an abbreviation, a repeated
-option, an error) goes to ``build_parser``, which builds the argparse parser
-from the same table, so help, usage and error messages come from argparse
-alone.  A well-formed command therefore never imports argparse, and each
-handler imports only the layer it uses.
+``build_parser`` builds the argparse parser from it, with subcommands only
+for the group that argv names, so parsing, help, usage and error messages
+all come from argparse.  Each handler imports only the layer it uses.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-from types import SimpleNamespace
 
 from . import picard
 from .errors import Infeasible, NotACocycle, TrivialClass, UnknownClaim
@@ -333,22 +323,20 @@ def _emit_reports(reports, as_json: bool) -> int:
     if as_json:
         print(reporting.render_json_lines(reports))
     else:
-        verbose = os.environ.get("DP2_VERBOSE", "") not in ("", "0")
-        print(reporting.render_text(reports, verbose=verbose))
+        print(reporting.render_text(reports))
     return 1 if reporting.failures(reports) else 0
 
 
 # ---------------------------------------------------------------------------
-# the command table, its direct matcher and the argparse parser built from it
+# the command table and the argparse parser built from it
 # ---------------------------------------------------------------------------
 
 _JSON = ("--json", {"action": "store_true", "help": "emit JSON"})
 _DIVISOR = ("divisor", {})
 
 # group -> (help, {command: (help, handler, arguments)}); each argument is
-# (name, add_argument keywords), of which _match reads action="store_true",
-# required and choices.  The command None stands for the group itself, which
-# then takes the arguments and has no subcommands.
+# (name, add_argument keywords).  The command None stands for the group
+# itself, which then takes the arguments and has no subcommands.
 _COMMANDS = {
     "galois": ("involution and group cohomology", {
         "h1": ("elementary divisors of H^1", _cmd_galois_h1, [_JSON]),
@@ -391,58 +379,6 @@ _COMMANDS = {
 }
 
 
-def _match(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would return for a well-formed argv, else None.
-
-    Accepts only the forms listed in the module docstring; every other argv,
-    valid or not, is left to ``build_parser``.
-    """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    commands = _COMMANDS[argv[0]][1]
-    values = {"group": argv[0]}
-    if None in commands:
-        _, handler, arguments = commands[None]
-        tokens = iter(argv[1:])
-    elif len(argv) > 1 and argv[1] in commands:
-        _, handler, arguments = commands[argv[1]]
-        tokens = iter(argv[2:])
-        values["cmd"] = argv[1]
-    else:
-        return None
-    specs = dict(arguments)
-    given, words = {}, []
-    for token in tokens:
-        if token == "--":
-            words += tokens
-            if "--" in words:
-                return None
-        elif not token.startswith("-"):
-            words.append(token)
-        elif token not in specs or token in given:
-            return None
-        elif specs[token].get("action") == "store_true":
-            given[token] = True
-        else:
-            given[token] = next(tokens, "-")
-            if given[token].startswith("-"):
-                return None
-    positionals = [name for name, _ in arguments if not name.startswith("-")]
-    if len(words) != len(positionals):
-        return None
-    given.update(zip(positionals, words))
-    for name, spec in arguments:
-        if name in given:
-            if "choices" in spec and given[name] not in spec["choices"]:
-                return None
-            values[name.lstrip("-")] = given[name]
-        elif spec.get("required"):
-            return None
-        else:
-            values[name.lstrip("-")] = False if spec.get("action") == "store_true" else None
-    return SimpleNamespace(**values, func=handler)
-
-
 def _add_arguments(parser, handler, arguments) -> None:
     for name, spec in arguments:
         parser.add_argument(name, **spec)
@@ -457,7 +393,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     group name in argv is the only group the parse can enter.  With no argv,
     or none naming a group, every group is built.
     """
-    import argparse  # only help and usage errors need it
+    import argparse  # at the first parse, not at `import dp2.cli`
 
     parser = argparse.ArgumentParser(
         prog="dp2",
@@ -480,9 +416,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _match(argv)
-    if args is None:
-        args = build_parser(argv).parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (NotACocycle, TrivialClass, Infeasible) as exc:

@@ -69,11 +69,11 @@ def failures(reports: list[ClaimReport]) -> list[ClaimReport]:
     return [r for r in reports if not r.passed and not r.known_discrepancy]
 
 
-def render_text(reports: list[ClaimReport], verbose: bool = False) -> str:
+def render_text(reports: list[ClaimReport]) -> str:
     lines = []
     for r in reports:
         lines.append(f"{r.status():4s} {r.id:28s} {r.description}")
-        if verbose or not r.passed:
+        if not r.passed:
             lines.append(f"     expected: {r.expected}")
             lines.append(f"     computed: {r.computed}")
             lines.append(f"     source:   {r.paper_ref}")

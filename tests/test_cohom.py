@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from conftest import oracle_feasible_values, random_dim_sequence
@@ -24,6 +25,7 @@ from dp2.picard import (
     F,
     H,
     L,
+    cubic_with_node,
     enumerate_exceptional,
     intersect,
     line_through,
@@ -152,12 +154,29 @@ def test_simple_reflections_are_isometries_fixing_h():
                 assert _reflect(a, root).dot(_reflect(b, root)) == a.dot(b)
 
 
+# k D_i + m (D_i + E_j), j != i, k, m >= 1: D_i + E_j is a conic class (square 0),
+# and D_i, of product -k, is the only (-1)-curve the class meets negatively,
+# so peeling it leaves the nef class m (D_i + E_j) with h0 = chi = m + 1; a
+# peeling that skipped the nodal cubics would answer chi = m + 1 - k(k-1)/2
+NODAL_ONLY = {(i, j, k, m): k * cubic_with_node(i) + m * (cubic_with_node(i) + E(j))
+              for i, j in itertools.permutations(range(1, 8), 2)
+              for k, m in ((1, 1), (3, 2), (5, 4))}
+
+
+def test_h0_of_classes_negative_only_on_a_nodal_cubic():
+    for (i, j, k, m), d in NODAL_ONLY.items():
+        negative = [c.name for c in enumerate_exceptional() if intersect(d, c.cls) < 0]
+        assert negative == [f"D{i}"] and intersect(d, cubic_with_node(i)) == -k, d
+        assert h0(d) == m + 1, d
+
+
 def test_cohom_dims_invariant_under_w_e7():
     rng = random.Random(7077)
     nonzero_h0 = nonzero_h1 = 0
-    for _ in range(500):
-        # L-coordinate in [0, 8] keeps about a fifth of the sample effective
-        d = DivClass((rng.randint(0, 8),) + tuple(rng.randint(-8, 8) for _ in range(7)))
+    # L-coordinate in [0, 8] keeps about a fifth of the random classes effective
+    drawn = (DivClass((rng.randint(0, 8),) + tuple(rng.randint(-8, 8) for _ in range(7)))
+             for _ in range(500))
+    for d in itertools.chain(drawn, NODAL_ONLY.values()):
         moved = d
         for _ in range(rng.randint(3, 6)):
             moved = _reflect(moved, rng.choice(SIMPLE_ROOTS))

@@ -280,27 +280,23 @@ def _cmd_order_ext(args) -> int:
     if args.induced:
         if src.rank != 1:
             raise ValueError("--induced needs a single generator class as --src")
-        table = order.ext_a_induced(src.summands[0], tgt)
-        level, triple = "A", table.a_triple()
+        level, triple = "A", order.ext_a_induced(src.summands[0], tgt)
     else:
-        table = order.ext_y_split(src, tgt)
-        level, triple = "Y", table.y_triple()
+        level, triple = "Y", order.ext_y_split(src, tgt)
     if args.json:
         _print_json({"src": str(src), "tgt": str(tgt), "level": level,
                      "ext": list(triple)})
     else:
-        print(f"ext_{level}({src}, {tgt}) = {tuple(triple)}")
+        print(f"ext_{level}({src}, {tgt}) = {triple}")
     return 0
 
 
 def _cmd_order_replay(args) -> int:
     from . import order
 
-    if args.chain == "orthogonality":
-        reports = order.replay_orthogonality()
-    else:
-        reports = order.replay_exceptional()
-    return _emit_reports(reports, args.json)
+    chain = {"orthogonality": order.replay_orthogonality,
+             "exceptional": order.replay_exceptional}[args.chain]
+    return _emit_reports(chain(order.standard_model()), args.json)
 
 
 def _cmd_replay(args) -> int:

@@ -108,15 +108,17 @@ def h2(d: DivClass) -> int:
 
 
 def h1(d: DivClass) -> int:
-    """h1 = h0 + h2 - chi; negative values would mean a bug and raise."""
-    value = h0(d) + h2(d) - chi_line(d)
-    if value < 0:
-        raise InternalInconsistency(f"negative h1 for {d!r}")
-    return value
+    """h1 = h0 + h2 - chi, as computed by cohom_dims."""
+    return cohom_dims(d).h1
 
 
 def cohom_dims(d: DivClass) -> CohomDims:
-    return CohomDims(h0(d), h1(d), h2(d))
+    """h0 and h2 looked up once each; h1 = h0 + h2 - chi, and a negative h1 is a bug."""
+    h0d, h2d = h0(d), h2(d)
+    h1d = h0d + h2d - chi_line(d)
+    if h1d < 0:
+        raise InternalInconsistency(f"negative h1 for {d!r}")
+    return CohomDims(h0d, h1d, h2d)
 
 
 @lru_cache(maxsize=1)

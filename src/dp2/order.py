@@ -3,9 +3,11 @@
 The order is A = O_Y + O_Y(E - E')_sigma for a pair of disjoint exceptional
 curves; pushing forward along the double cover gives a maximal quaternion
 order on the plane ramified on the branch quartic.  An ``OrderModel`` holds
-the gauge (E, E') and derives everything else from it; ``standard_model()``
-is the gauge (E1, C12).  Writing L for the class E - E' of the invertible
-summand, the three recurring first Chern classes are
+the gauge (E, E') and derives everything else from it.  Every function that
+depends on the gauge takes the model as an argument; none falls back to a
+default.  ``standard_model()`` is the gauge (E1, C12).  Writing L for the
+class E - E' of the invertible summand, the three recurring first Chern
+classes are
 
     c1(A) = L,   c1(E_t) = L + H = F,   c1(A x O(H)) = L + 2H,
 
@@ -54,7 +56,6 @@ from .reporting import ClaimReport
 __all__ = [
     "OrderModel",
     "SplitBundle",
-    "ExtTable",
     "standard_model",
     "induced_split",
     "ext_y_split",
@@ -187,58 +188,24 @@ class SplitBundle(Value):
         return " + ".join(f"O({format_divisor(s)})" for s in self.summands)
 
 
-def induced_split(d: DivClass, model: OrderModel | None = None) -> SplitBundle:
+def induced_split(d: DivClass, model: OrderModel) -> SplitBundle:
     """Restriction to Y of the induced module A x O(D): O(D) + O(lclass + sigma D)."""
-    model = model or standard_model()
     return SplitBundle.of(d, model.lclass + sigma(d))
 
 
-class ExtTable(Value):
-    """Ext dimensions (degrees 0, 1, 2) at the Y level and, when known, the A level.
-
-    ``ext_a_twisted`` is the complementary summand Ext_A(M, Au x N) of the
-    endomorphism-algebra decomposition; ``forced`` flags the degrees where the
-    A-level values are pinned (either supplied or squeezed by a zero).
-    """
-
-    __slots__ = ("ext_y", "ext_a", "ext_a_twisted", "forced")
-
-    def __init__(self, ext_y: PartialTriple = (None, None, None),
-                 ext_a: PartialTriple = (None, None, None),
-                 ext_a_twisted: PartialTriple = (None, None, None),
-                 forced: tuple[bool, bool, bool] = (False, False, False)):
-        for y, a in zip(ext_y, ext_a):
-            if y is not None and a is not None and a > y:
-                raise Infeasible(f"A-level dimension {a} exceeds Y-level {y}")
-        object.__setattr__(self, "ext_y", ext_y)
-        object.__setattr__(self, "ext_a", ext_a)
-        object.__setattr__(self, "ext_a_twisted", ext_a_twisted)
-        object.__setattr__(self, "forced", forced)
-
-    def y_triple(self) -> Triple:
-        if any(v is None for v in self.ext_y):
-            raise ValueError("Y-level dimensions not fully known")
-        return self.ext_y  # type: ignore[return-value]
-
-    def a_triple(self) -> Triple:
-        if any(v is None for v in self.ext_a):
-            raise ValueError("A-level dimensions not fully known")
-        return self.ext_a  # type: ignore[return-value]
-
-
-def ext_y_split(src: SplitBundle, tgt: SplitBundle) -> ExtTable:
+def ext_y_split(src: SplitBundle, tgt: SplitBundle) -> Triple:
     """Y-level Ext between sums of line bundles: sums of h^i of differences."""
-    return ExtTable(ext_y=_summed_dims(b - a for a in src.summands for b in tgt.summands))
+    return _summed_dims(b - a for a in src.summands for b in tgt.summands)
 
 
-def ext_a_induced(d: DivClass, tgt: SplitBundle) -> ExtTable:
+def ext_a_induced(d: DivClass, tgt: SplitBundle) -> Triple:
     """A-level Ext out of an induced module A x O(D), by adjunction.
 
     Ext_A(A x O(D), N) = Ext_Y(O(D), N) = sum over the summand classes B of
     N of h^i(B - D).  The caller is responsible for ``tgt`` being the
     Y-restriction of an actual A-module; this is recorded, not checked.
     """
-    return ExtTable(ext_a=_summed_dims(b - d for b in tgt.summands), forced=(True, True, True))
+    return _summed_dims(b - d for b in tgt.summands)
 
 
 def _summed_dims(classes) -> Triple:
@@ -252,16 +219,18 @@ def _summed_dims(classes) -> Triple:
     return (h0s, h1s, h2s)
 
 
-def decomposition_solve(ext_y: Triple, known_a: PartialTriple = (None, None, None)) -> ExtTable:
+def decomposition_solve(ext_y: Triple, known_a: PartialTriple = (None, None, None)
+                        ) -> tuple[PartialTriple, PartialTriple]:
     """Fill the decomposition Ext_Y = Ext_A + Ext_A(-, Au x -) degree by degree.
 
-    A zero Y-level dimension forces both summands to zero; a supplied A-level
-    dimension forces the twisted complement.  Raises Infeasible when a supplied
-    value exceeds the Y-level bound.
+    Returns (ext_a, ext_a_twisted), the A-level dimensions and those of the
+    complementary summand Ext_A(M, Au x N), with None where not pinned.  A
+    zero Y-level dimension forces both summands to zero; a supplied A-level
+    dimension forces the twisted complement.  Raises Infeasible when a
+    supplied value is negative or exceeds the Y-level bound.
     """
     a_out: list[int | None] = [None, None, None]
     tw_out: list[int | None] = [None, None, None]
-    forced = [False, False, False]
     for i in range(3):
         if known_a[i] is not None:
             if known_a[i] > ext_y[i] or known_a[i] < 0:
@@ -269,17 +238,10 @@ def decomposition_solve(ext_y: Triple, known_a: PartialTriple = (None, None, Non
                     f"degree {i}: A-level {known_a[i]} incompatible with Y-level {ext_y[i]}")
             a_out[i] = known_a[i]
             tw_out[i] = ext_y[i] - known_a[i]
-            forced[i] = True
         elif ext_y[i] == 0:
             a_out[i] = 0
             tw_out[i] = 0
-            forced[i] = True
-    return ExtTable(
-        ext_y=tuple(ext_y),
-        ext_a=tuple(a_out),
-        ext_a_twisted=tuple(tw_out),
-        forced=tuple(forced),
-    )
+    return tuple(a_out), tuple(tw_out)
 
 
 def hom_vanishing_by_det(c1_src: DivClass, c1_tgt: DivClass) -> bool:
@@ -303,24 +265,19 @@ def serre_twist(x: ChernChar) -> ChernChar:
 # ---------------------------------------------------------------------------
 
 
-def replay_exceptional(model: OrderModel | None = None) -> list[ClaimReport]:
+def replay_exceptional(model: OrderModel) -> list[ClaimReport]:
     """Re-run the chain showing A x O(H) is exceptional: Ext_A = (k, 0, 0)."""
-    model = model or standard_model()
     lclass = model.lclass
+    dims = cohom_dims(lclass)
     reports = []
     reports.append(reporting.report(
         "ORD.EXC.HL",
         "the invertible summand O(E-E') has no cohomology",
         "exceptionality chain for the H-twist of the order",
         {"h0": 0, "h1": 0, "h2": 0, "chi": 0},
-        {
-            "h0": cohom_dims(lclass).h0,
-            "h1": h1(lclass),
-            "h2": h2(lclass),
-            "chi": chi_line(lclass),
-        },
+        {"h0": dims.h0, "h1": dims.h1, "h2": dims.h2, "chi": chi_line(lclass)},
     ))
-    triple = ext_a_induced(H, induced_split(H, model)).a_triple()
+    triple = ext_a_induced(H, induced_split(H, model))
     reports.append(reporting.report(
         "ORD.EXC",
         "self-Ext of A x O(H): one-dimensional in degree 0 only",
@@ -338,7 +295,7 @@ def replay_exceptional(model: OrderModel | None = None) -> list[ClaimReport]:
     return reports
 
 
-def replay_orthogonality(model: OrderModel | None = None) -> list[ClaimReport]:
+def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
     """Re-run the chain showing the moduli family is right-orthogonal to A x O(H).
 
     Emits one report per intermediate value: the degree-0 and degree-2
@@ -346,7 +303,6 @@ def replay_orthogonality(model: OrderModel | None = None) -> list[ClaimReport]:
     one-dimensional connecting Ext through the point's ideal sheaf, and the
     final exact-sequence squeeze in degree 1.
     """
-    model = model or standard_model()
     f = model.f
     reports = []
 

@@ -242,19 +242,18 @@ def _ramification_payload(model: order.OrderModel) -> dict[str, Any]:
 def _case_iv_triple(model: order.OrderModel, i: int, j: int) -> list[int]:
     src = model.ramification[i - 1][0]
     tgt = order.induced_split(model.ramification[j - 1][0], model)
-    return list(order.ext_a_induced(src, tgt).a_triple())
+    return list(order.ext_a_induced(src, tgt))
 
 
 def _ext_y_between(model: order.OrderModel, i: int, j: int) -> list[int]:
     return list(order.ext_y_split(model.ramification[i - 1][1],
-                                  model.ramification[j - 1][1]).y_triple())
+                                  model.ramification[j - 1][1]))
 
 
 def _exta2_payload(model: order.OrderModel) -> dict[str, Any]:
     ext_y = _ext_y_between(model, 1, 2)
-    table = order.decomposition_solve(tuple(ext_y))
-    return {"ext_y": ext_y, "ext2_A_forced": table.ext_a[2],
-            "ext2_twisted_forced": table.ext_a_twisted[2]}
+    ext_a, twisted = order.decomposition_solve(tuple(ext_y))
+    return {"ext_y": ext_y, "ext2_A_forced": ext_a[2], "ext2_twisted_forced": twisted[2]}
 
 
 def _ext01_payload(model: order.OrderModel) -> dict[str, Any]:
@@ -269,14 +268,14 @@ def _ks_case_ii_payload() -> dict[str, Any]:
     # conditional on the cited stability of the non-split modules: the Y-level
     # triple (1, 1, 0) and the tangent-space input ext^1_A = 1 are taken as
     # stated, the arithmetic of the decomposition is what is verified
-    table = order.decomposition_solve((1, 1, 0), (None, 1, None))
-    return {"complement_ext1": table.ext_a_twisted[1]}
+    _, twisted = order.decomposition_solve((1, 1, 0), (None, 1, None))
+    return {"complement_ext1": twisted[1]}
 
 
 def _ks_split_payload(model: order.OrderModel) -> dict[str, Any]:
     ext_y = _ext_y_between(model, 1, 1)
-    table = order.decomposition_solve(tuple(ext_y), (None, 1, None))
-    return {"ext_y": ext_y, "complement_ext1": table.ext_a_twisted[1]}
+    _, twisted = order.decomposition_solve(tuple(ext_y), (None, 1, None))
+    return {"ext_y": ext_y, "complement_ext1": twisted[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +283,14 @@ def _ks_split_payload(model: order.OrderModel) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _orthogonality_reports() -> dict[str, ClaimReport]:
-    return {r.id: r for r in order.replay_orthogonality()}
+@lru_cache(maxsize=2)
+def _chain_reports(chain: Callable[[order.OrderModel], list[ClaimReport]]
+                   ) -> dict[str, ClaimReport]:
+    return {r.id: r for r in chain(order.standard_model())}
 
 
-@lru_cache(maxsize=1)
-def _exceptional_reports() -> dict[str, ClaimReport]:
-    return {r.id: r for r in order.replay_exceptional()}
-
-
-def _from_chain(chain: Callable[[], dict[str, ClaimReport]], claim_id: str) -> Claim:
-    return claim_id, lambda: chain()[claim_id]
+def _from_chain(chain: Callable[[order.OrderModel], list[ClaimReport]], claim_id: str) -> Claim:
+    return claim_id, lambda: _chain_reports(chain)[claim_id]
 
 
 @lru_cache(maxsize=1)
@@ -576,15 +571,15 @@ def _registry() -> list[Claim]:
                "tangent-space bookkeeping at the branch points",
                {"ext_y": [2, 2, 0], "complement_ext1": 1},
                lambda: _ks_split_payload(model())),
-        _from_chain(_exceptional_reports, "ORD.EXC.HL"),
-        _from_chain(_exceptional_reports, "ORD.EXC"),
-        _from_chain(_exceptional_reports, "ORD.CANON"),
-        _from_chain(_orthogonality_reports, "ORTH.I0"),
-        _from_chain(_orthogonality_reports, "ORTH.I2"),
-        _from_chain(_orthogonality_reports, "ORTH.H1MH"),
-        _from_chain(_orthogonality_reports, "ORTH.EXT2HO"),
-        _from_chain(_orthogonality_reports, "L53"),
-        _from_chain(_orthogonality_reports, "ORTH.I1"),
+        _from_chain(order.replay_exceptional, "ORD.EXC.HL"),
+        _from_chain(order.replay_exceptional, "ORD.EXC"),
+        _from_chain(order.replay_exceptional, "ORD.CANON"),
+        _from_chain(order.replay_orthogonality, "ORTH.I0"),
+        _from_chain(order.replay_orthogonality, "ORTH.I2"),
+        _from_chain(order.replay_orthogonality, "ORTH.H1MH"),
+        _from_chain(order.replay_orthogonality, "ORTH.EXT2HO"),
+        _from_chain(order.replay_orthogonality, "L53"),
+        _from_chain(order.replay_orthogonality, "ORTH.I1"),
     ]
     ids = [claim_id for claim_id, _ in claims]
     if len(ids) != len(set(ids)):

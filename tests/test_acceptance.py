@@ -173,25 +173,26 @@ def test_criterion_7_exact_sequence_solver():
 
 
 def test_criterion_8_order_layer():
-    assert order.ext_a_induced(H, order.induced_split(H)).a_triple() == (1, 0, 0)
+    model = order.standard_model()
+    assert order.ext_a_induced(H, order.induced_split(H, model)) == (1, 0, 0)
 
-    orth = order.replay_orthogonality()
+    orth = order.replay_orthogonality(model)
     assert [r.id for r in orth] == ["ORTH.I0", "ORTH.I2", "ORTH.H1MH",
                                     "ORTH.EXT2HO", "L53", "ORTH.I1"]
     assert all(r.passed for r in orth)
 
-    ramification = order.standard_model().ramification
+    ramification = model.ramification
     pairs = [(1, 2), (1, 3), (2, 3)]
     for i, j in pairs:
         triple = order.ext_a_induced(ramification[i - 1][0],
-                                     order.induced_split(ramification[j - 1][0]))
-        assert triple.a_triple() == (0, 0, 0)
+                                     order.induced_split(ramification[j - 1][0], model))
+        assert triple == (0, 0, 0)
 
     first = ramification[0][1]
-    self_ext = order.ext_y_split(first, first).y_triple()
+    self_ext = order.ext_y_split(first, first)
     assert self_ext == (2, 2, 0)
-    table = order.decomposition_solve(self_ext, (None, 1, None))
-    assert table.ext_a_twisted[1] == 1
+    _, twisted = order.decomposition_solve(self_ext, (None, 1, None))
+    assert twisted[1] == 1
     _report(8, "exceptionality triple (1, 0, 0); orthogonality chain fully matched; "
                "three vanishing branch pairs; twisted deformation count 1 from (2, 1)")
 

@@ -12,6 +12,7 @@ from dp2.cli import main
 from dp2.picard import parse_divisor
 
 QUERIES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "queries.json"
+REPLAY_ALL = QUERIES.parent / "replay_all.txt"
 
 
 def run(capsys, *argv):
@@ -155,12 +156,19 @@ def test_order_ext(capsys):
 
 
 def test_order_replay(capsys):
-    code, out, err = run(capsys, "order", "replay", "orthogonality")
-    assert code == 0
-    assert "ORTH.I1" in out
-    code, out, err = run(capsys, "order", "replay", "exceptional")
-    assert code == 0
-    assert "ORD.EXC" in out
+    # the CLI and the registry both run the chains on the standard model, so
+    # each report line equals the line with its id in the frozen replay output
+    golden = {line.split()[1]: line for line in REPLAY_ALL.read_text().splitlines()
+              if line[:4] in ("PASS", "FAIL", "FLAG")}
+    for chain, ids in [
+        ("orthogonality", ["ORTH.I0", "ORTH.I2", "ORTH.H1MH", "ORTH.EXT2HO", "L53", "ORTH.I1"]),
+        ("exceptional", ["ORD.EXC.HL", "ORD.EXC", "ORD.CANON"]),
+    ]:
+        code, out, err = run(capsys, "order", "replay", chain)
+        assert (code, err) == (0, "")
+        n = len(ids)
+        assert out.splitlines() == [golden[i] for i in ids] + [
+            f"{n} claims: {n} passed, 0 failed, 0 flagged known-discrepancy"]
 
 
 def test_replay_all_json(capsys):

@@ -8,7 +8,6 @@ from dp2.cohom import cohom_dims
 from dp2.errors import Infeasible
 from dp2.galois import class_of, sigma
 from dp2.order import (
-    ExtTable,
     OrderModel,
     SplitBundle,
     decomposition_solve,
@@ -75,9 +74,10 @@ def test_model_accepts_any_disjoint_nontrivial_pair():
 
 
 def test_induced_split():
-    assert set(induced_split(E(3)).summands) == {E(3), line_through(2, 3)}
-    assert set(induced_split(H).summands) == {H, LCLASS + H}
-    assert set(induced_split(ZERO).summands) == {ZERO, LCLASS}
+    model = standard_model()
+    assert set(induced_split(E(3), model).summands) == {E(3), line_through(2, 3)}
+    assert set(induced_split(H, model).summands) == {H, LCLASS + H}
+    assert set(induced_split(ZERO, model).summands) == {ZERO, LCLASS}
 
 
 def test_split_bundle_invariants():
@@ -90,56 +90,44 @@ def test_split_bundle_invariants():
 
 
 def test_ext_y_split_structure_sheaf():
-    table = ext_y_split(SplitBundle.of(ZERO), SplitBundle.of(ZERO))
-    assert table.y_triple() == (1, 0, 0)
+    assert ext_y_split(SplitBundle.of(ZERO), SplitBundle.of(ZERO)) == (1, 0, 0)
 
 
 def test_ext_y_split_case_iv_ingredients():
-    table = ext_y_split(SplitBundle.of(E(1)), SplitBundle.of(E(3), line_through(2, 3)))
-    assert table.y_triple()[1] == 0
+    triple = ext_y_split(SplitBundle.of(E(1)), SplitBundle.of(E(3), line_through(2, 3)))
+    assert triple[1] == 0
 
 
 def test_ext_y_twisted_order_self():
     # derived: the four difference classes are 0, L, -L, 0 with
     # h(0) = (1,0,0) and h(+-L) = (0,0,0)
-    split = induced_split(H)
-    table = ext_y_split(split, split)
+    split = induced_split(H, standard_model())
+    triple = ext_y_split(split, split)
     expected = [0, 0, 0]
     for d in [ZERO, LCLASS, -LCLASS, ZERO]:
         dims = cohom_dims(d)
         expected[0] += dims.h0
         expected[1] += dims.h1
         expected[2] += dims.h2
-    assert table.y_triple() == tuple(expected) == (2, 0, 0)
+    assert triple == tuple(expected) == (2, 0, 0)
 
 
 def test_ext_a_induced_examples():
-    assert ext_a_induced(E(1), induced_split(E(3))).a_triple() == (0, 0, 0)
-    assert ext_a_induced(H, induced_split(H)).a_triple() == (1, 0, 0)
-    assert ext_a_induced(ZERO, induced_split(ZERO)).a_triple() == (1, 0, 0)
-
-
-def test_ext_table_bounds():
-    with pytest.raises(Infeasible):
-        ExtTable(ext_y=(0, 1, 0), ext_a=(1, 1, 0))
+    model = standard_model()
+    assert ext_a_induced(E(1), induced_split(E(3), model)) == (0, 0, 0)
+    assert ext_a_induced(H, induced_split(H, model)) == (1, 0, 0)
+    assert ext_a_induced(ZERO, induced_split(ZERO, model)) == (1, 0, 0)
 
 
 def test_decomposition_solve():
-    table = decomposition_solve((0, 0, 0))
-    assert table.ext_a == (0, 0, 0)
-    assert table.ext_a_twisted == (0, 0, 0)
-    assert table.forced == (True, True, True)
-
-    table = decomposition_solve((1, 1, 0), (None, 1, None))
-    assert table.ext_a_twisted[1] == 0
-    assert table.ext_a_twisted[2] == 0 and table.forced[2]
-    assert table.ext_a[0] is None
-
-    table = decomposition_solve((2, 2, 0), (None, 1, None))
-    assert table.ext_a_twisted[1] == 1
+    assert decomposition_solve((0, 0, 0)) == ((0, 0, 0), (0, 0, 0))
+    assert decomposition_solve((1, 1, 0), (None, 1, None)) == ((None, 1, 0), (None, 0, 0))
+    assert decomposition_solve((2, 2, 0), (None, 1, None)) == ((None, 1, 0), (None, 1, 0))
 
     with pytest.raises(Infeasible):
         decomposition_solve((1, 0, 0), (2, None, None))
+    with pytest.raises(Infeasible):
+        decomposition_solve((1, 0, 0), (-1, None, None))
 
 
 def test_hom_vanishing_by_det():
@@ -181,23 +169,23 @@ def test_ramification_splits():
     for generator, split in ramification:
         assert split.slopes == (1, 1)
         assert (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
-        induced = induced_split(generator)
+        induced = induced_split(generator, standard_model())
         assert set(split.summands) == set(induced.summands)
 
 
 def test_ext_alternating_sum_matches_euler_pairing():
     splits = [split for _, split in standard_model().ramification]
     for src, tgt in itertools.product(splits, repeat=2):
-        table = ext_y_split(src, tgt).y_triple()
-        assert table[0] - table[1] + table[2] == euler_pairing(src.ch(), tgt.ch())
+        triple = ext_y_split(src, tgt)
+        assert triple[0] - triple[1] + triple[2] == euler_pairing(src.ch(), tgt.ch())
 
 
 def test_ext_between_branch_modules():
     ramification = standard_model().ramification
     first, second = ramification[0][1], ramification[1][1]
-    self_table = ext_y_split(first, first).y_triple()
+    self_table = ext_y_split(first, first)
     assert self_table == (2, 2, 0)
-    cross_table = ext_y_split(first, second).y_triple()
+    cross_table = ext_y_split(first, second)
     assert cross_table == (0, 0, 0)
     # ext0 = ext1 at the Y level in both cases
     assert self_table[0] == self_table[1]
@@ -205,10 +193,10 @@ def test_ext_between_branch_modules():
 
 
 def test_case_iv_all_branch_pairs():
-    generators = [g for g, _ in standard_model().ramification]
+    model = standard_model()
+    generators = [g for g, _ in model.ramification]
     for src, tgt in itertools.permutations(generators, 2):
-        triple = ext_a_induced(src, induced_split(tgt)).a_triple()
-        assert triple == (0, 0, 0)
+        assert ext_a_induced(src, induced_split(tgt, model)) == (0, 0, 0)
 
 
 def _all_disjoint_gauges():
@@ -237,19 +225,19 @@ def test_branch_point_exts_for_sampled_gauges(rng):
     for model in rng.sample(_all_disjoint_gauges(), 25):
         ramification = model.ramification
         for (src, _), (tgt, _) in itertools.permutations(ramification, 2):
-            assert ext_a_induced(src, induced_split(tgt, model)).a_triple() == (0, 0, 0)
+            assert ext_a_induced(src, induced_split(tgt, model)) == (0, 0, 0)
         for _, split in ramification:
-            assert ext_y_split(split, split).y_triple() == (2, 2, 0)
+            assert ext_y_split(split, split) == (2, 2, 0)
 
 
 def test_replay_exceptional_reports():
-    reports = replay_exceptional()
+    reports = replay_exceptional(standard_model())
     assert [r.id for r in reports] == ["ORD.EXC.HL", "ORD.EXC", "ORD.CANON"]
     assert all(r.passed for r in reports)
 
 
 def test_replay_orthogonality_reports():
-    reports = replay_orthogonality()
+    reports = replay_orthogonality(standard_model())
     assert [r.id for r in reports] == [
         "ORTH.I0", "ORTH.I2", "ORTH.H1MH", "ORTH.EXT2HO", "L53", "ORTH.I1"]
     assert all(r.passed for r in reports)

@@ -20,9 +20,9 @@ import dp2
 from dp2 import order, reporting
 from dp2.chern import ChernChar, ch_of
 from dp2.cohom import CohomDims, DimSequence, Interval, LesResult, les_solve
-from dp2.errors import Infeasible, Value
+from dp2.errors import Value
 from dp2.galois import CohClass
-from dp2.order import ExtTable, OrderModel, SplitBundle, standard_model
+from dp2.order import OrderModel, SplitBundle, standard_model
 from dp2.picard import DivClass, E, ExceptionalCurve, F, Family, H, L, classify, conic_through
 
 E1_REPR = ("ExceptionalCurve(cls=DivClass(0, 1, 0, 0, 0, 0, 0, 0), family=<Family.E: 'E'>, "
@@ -57,10 +57,6 @@ def _cases():
         (SplitBundle.of(H, L), SplitBundle((H, L)),
          "SplitBundle(summands=(DivClass(3, -1, -1, -1, -1, -1, -1, -1), "
          "DivClass(1, 0, 0, 0, 0, 0, 0, 0)))", ((H, L),), "summands"),
-        (ExtTable(ext_y=(1, 0, 0)), ExtTable((1, 0, 0)),
-         "ExtTable(ext_y=(1, 0, 0), ext_a=(None, None, None), ext_a_twisted=(None, None, None), "
-         "forced=(False, False, False))",
-         ((1, 0, 0), (None, None, None), (None, None, None), (False, False, False)), "forced"),
         (reporting.report("X", "d", "ref", 1, 1),
          reporting.ClaimReport("X", "d", 1, 1, True, "ref"),
          "ClaimReport(id='X', description='d', expected=1, computed=1, passed=True, "
@@ -130,8 +126,6 @@ def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
     (lambda: DimSequence((1, -1)), ValueError, "entries must be nonnegative ints or None, got -1"),
     (lambda: CohClass((1, 0)), ValueError, "need six bits, got (1, 0)"),
     (lambda: OrderModel(classify(E(1)), classify(E(1))), ValueError, "E1 and E1 are not disjoint"),
-    (lambda: ExtTable(ext_y=(0, 0, 0), ext_a=(1, 0, 0)), Infeasible,
-     "A-level dimension 1 exceeds Y-level 0"),
 ])
 def test_construction_checks(build, error, message):
     with pytest.raises(error) as info:

@@ -121,19 +121,19 @@ def _cmd_galois_represent(args) -> int:
 
     bits = _parse_bits(args.bits)
     e, eprime = galois.represent_as_difference(bits)
-    check = galois.class_of(e.cls - eprime.cls)
+    check = galois.class_of(e - eprime)
     payload = {
         "bits": str(bits),
-        "pair": [e.name, eprime.name],
-        "difference": str(e.cls - eprime.cls),
+        "pair": [format_divisor(e), format_divisor(eprime)],
+        "difference": str(e - eprime),
         "class_of_difference": str(check),
-        "intersection": intersect(e.cls, eprime.cls),
+        "intersection": intersect(e, eprime),
     }
     if not bits.is_zero():
         de, deprime = galois.disjoint_representative(bits)
-        payload["disjoint_pair"] = [de.name, deprime.name]
-        payload["disjoint_intersection"] = intersect(de.cls, deprime.cls)
-        payload["disjoint_class"] = str(galois.class_of(de.cls - deprime.cls))
+        payload["disjoint_pair"] = [format_divisor(de), format_divisor(deprime)]
+        payload["disjoint_intersection"] = intersect(de, deprime)
+        payload["disjoint_class"] = str(galois.class_of(de - deprime))
     if args.json:
         _print_json(payload)
     else:
@@ -250,9 +250,9 @@ def _cmd_order_model(args) -> int:
 
     model = order.standard_model()
     payload = {
-        "e": model.e.name,
-        "eprime": model.eprime.name,
-        "sigma_eprime": model.sigma_eprime.name,
+        "e": format_divisor(model.e),
+        "eprime": format_divisor(model.eprime),
+        "sigma_eprime": format_divisor(model.sigma_eprime),
         "lclass": str(model.lclass),
         "f": format_divisor(model.f),
         "f_square": model.f.selfint,

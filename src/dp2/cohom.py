@@ -94,9 +94,9 @@ def h0(d: DivClass) -> int:
         if deg == 0:
             return 1 if d.is_zero() else 0
         for curve in curves:
-            k = -intersect(d, curve.cls)
+            k = -intersect(d, curve)
             if k > 0:
-                d = d - k * curve.cls
+                d = d - k * curve
                 break
         else:
             return chi_line(d)  # nef: higher cohomology vanishes
@@ -123,19 +123,15 @@ def cohom_dims(d: DivClass) -> CohomDims:
 
 @lru_cache(maxsize=1)
 def _witness_pool() -> tuple[DivClass, ...]:
-    pool = [c.cls for c in enumerate_exceptional()]
-    pool += [H, L]
-    pool += [L - E(i) for i in range(1, 8)]
-    return tuple(pool)
+    return (H, L, *(L - E(i) for i in range(1, 8)))
 
 
 def noneffective_witness(d: DivClass) -> DivClass | None:
     """First pool class W with W.W >= 0 and D.W < 0; a certificate that h0(D) = 0.
 
-    Exceptional members of the pool never qualify (their square is -1); they
-    are handled by the peeling rule inside h0 instead.  A returned witness is
-    an irreducible class of nonnegative square meeting D negatively, so D
-    cannot be effective; this is cross-checked against the peeling oracle.
+    A returned witness is an irreducible class of nonnegative square meeting
+    D negatively, so D cannot be effective; this is cross-checked against the
+    peeling oracle.
     """
     for w in _witness_pool():
         if w.selfint >= 0 and intersect(d, w) < 0:

@@ -45,11 +45,11 @@ from .picard import (
     ZERO,
     DivClass,
     E,
-    ExceptionalCurve,
     H,
     L,
     classify,
     enumerate_exceptional,
+    format_divisor,
     intersect,
 )
 
@@ -256,11 +256,14 @@ def _first_pair_per_code(codes: list[int]) -> dict[int, tuple[int, int]]:
 @lru_cache(maxsize=1)
 def _pair_table() -> dict[int, tuple[int, int]]:
     # class_of is additive, so [C - C'] has code [C - E1] XOR [C' - E1]
-    return _first_pair_per_code([class_of(c.cls - E(1)).code for c in enumerate_exceptional()])
+    return _first_pair_per_code([class_of(c - E(1)).code for c in enumerate_exceptional()])
 
 
-def represent_as_difference(v: CohClass) -> tuple[ExceptionalCurve, ExceptionalCurve]:
-    """The first pair (E, E') in enumeration order with [E - E'] = v."""
+def represent_as_difference(v: CohClass) -> tuple[DivClass, DivClass]:
+    """The first pair of curve classes (E, E') in census order with [E - E'] = v.
+
+    A curve is its class; ``picard.format_divisor`` gives its name E1..D7.
+    """
     table = _pair_table()
     if v.code not in table:
         raise InternalInconsistency(f"no exceptional difference realises {v}")
@@ -269,7 +272,7 @@ def represent_as_difference(v: CohClass) -> tuple[ExceptionalCurve, ExceptionalC
     return curves[i], curves[j]
 
 
-def disjoint_representative(v: CohClass) -> tuple[ExceptionalCurve, ExceptionalCurve]:
+def disjoint_representative(v: CohClass) -> tuple[DivClass, DivClass]:
     """A pair (E, E') with [E - E'] = v and E.E' = 0.
 
     A meeting pair (E.E' = 1) is repaired by swapping E' for sigma(E'), which
@@ -280,12 +283,13 @@ def disjoint_representative(v: CohClass) -> tuple[ExceptionalCurve, ExceptionalC
     if v.is_zero():
         raise TrivialClass("the trivial class has no disjoint representative here")
     e, eprime = represent_as_difference(v)
-    meet = intersect(e.cls, eprime.cls)
+    meet = intersect(e, eprime)
     if meet == 0:
         return e, eprime
+    names = f"{format_divisor(e)} and {format_divisor(eprime)}"
     if meet == 1:
-        swapped = classify(sigma(eprime.cls))
-        if swapped is None or intersect(e.cls, swapped.cls) != 0:
-            raise InternalInconsistency(f"sigma swap failed for {e}, {eprime}")
+        swapped = sigma(eprime)
+        if classify(swapped) is None or intersect(e, swapped) != 0:
+            raise InternalInconsistency(f"sigma swap failed for {names}")
         return e, swapped
-    raise InternalInconsistency(f"{e} and {eprime} meet in {meet} points with class {v}")
+    raise InternalInconsistency(f"{names} meet in {meet} points with class {v}")

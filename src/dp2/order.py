@@ -3,9 +3,10 @@
 The order is A = O_Y + O_Y(E - E')_sigma for a pair of disjoint exceptional
 curves; pushing forward along the double cover gives a maximal quaternion
 order on the plane ramified on the branch quartic.  An ``OrderModel`` holds
-the gauge (E, E') and derives everything else from it.  Every function that
-depends on the gauge takes the model as an argument; none falls back to a
-default.  ``standard_model()`` is the gauge (E1, C12).  Writing L for the
+the gauge (E, E') as two classes of the picard census, which it checks, and
+derives everything else from them.  Every function that depends on the gauge
+takes the model as an argument; none falls back to a default.
+``standard_model()`` is the gauge (E1, C12).  Writing L for the
 class E - E' of the invertible summand, the three recurring first Chern
 classes are
 
@@ -43,7 +44,6 @@ from .picard import (
     ZERO,
     DivClass,
     E,
-    ExceptionalCurve,
     H,
     classify,
     conic_through,
@@ -72,16 +72,19 @@ PartialTriple = tuple[int | None, int | None, int | None]
 
 
 class OrderModel(Value):
-    """A choice of disjoint exceptional pair (E, E') defining the cyclic order."""
+    """A choice of disjoint (-1)-curve classes (E, E') defining the cyclic order."""
 
     # cached_property stores ramification in __dict__, which is not a field
     __slots__ = ("e", "eprime", "__dict__")
 
-    def __init__(self, e: ExceptionalCurve, eprime: ExceptionalCurve):
+    def __init__(self, e: DivClass, eprime: DivClass):
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "eprime", eprime)
-        if intersect(e.cls, eprime.cls) != 0:
-            raise ValueError(f"{self.e} and {self.eprime} are not disjoint")
+        for c in (e, eprime):
+            if classify(c) is None:
+                raise ValueError(f"{format_divisor(c)} is not a (-1)-curve")
+        if intersect(e, eprime) != 0:
+            raise ValueError(f"{format_divisor(e)} and {format_divisor(eprime)} are not disjoint")
         if class_of(self.lclass).is_zero():
             raise ValueError("the order would be unramified: [E - E'] is trivial")
         if self.f.selfint != 0 or intersect(self.f, H) != 2:
@@ -90,16 +93,16 @@ class OrderModel(Value):
     @property
     def lclass(self) -> DivClass:
         """Class of the invertible summand O(E - E')."""
-        return self.e.cls - self.eprime.cls
+        return self.e - self.eprime
 
     @property
-    def sigma_eprime(self) -> ExceptionalCurve:
-        return classify(sigma(self.eprime.cls))
+    def sigma_eprime(self) -> DivClass:
+        return sigma(self.eprime)
 
     @property
     def f(self) -> DivClass:
         """F = E + sigma(E') = lclass + H; square 0, degree 2 against H."""
-        return self.e.cls + sigma(self.eprime.cls)
+        return self.e + self.sigma_eprime
 
     @property
     def c1_order(self) -> DivClass:
@@ -133,11 +136,10 @@ class OrderModel(Value):
         order, and these five are sorted by G.
         """
         f = self.f
-        e, partner = self.e.cls, self.sigma_eprime.cls
+        e, partner = self.e, self.sigma_eprime
         entries = [(e, SplitBundle.of(e, partner))]
         seen = {e, partner}
-        for curve in enumerate_exceptional():
-            g = curve.cls
+        for g in enumerate_exceptional():
             if g not in seen and intersect(g, f) == 0:
                 seen.add(f - g)
                 entries.append((g, SplitBundle.of(f - g, g)))
@@ -147,7 +149,7 @@ class OrderModel(Value):
 @lru_cache(maxsize=1)
 def standard_model() -> OrderModel:
     """The gauge (E, E') = (E1, C12), so that sigma(E') = L12 and F = E1 + L12."""
-    return OrderModel(classify(E(1)), classify(conic_through(1, 2)))
+    return OrderModel(E(1), conic_through(1, 2))
 
 
 class SplitBundle(Value):

@@ -11,10 +11,12 @@ is diagonal with signature (1, 7):
 
 Everything in this module is exact integer arithmetic on that lattice: the
 distinguished classes H = -K (the halved anticanonical polarisation, pullback
-of a line under the double cover), the 56 classes of (-1)-curves in their
-four classical families, a provably complete enumerator of the classes with
-given degree and self-intersection, and a small text grammar for divisor
-classes used by the command line tools.
+of a line under the double cover), the census of the 56 (-1)-curves, a
+provably complete enumerator of the classes with given degree and
+self-intersection, and a small text grammar for divisor classes used by the
+command line tools.  A (-1)-curve is its class: the census maps each of the
+56 classes, in the order of the four classical families (E, L, C, D), to its
+name E1..D7, which ``format_divisor`` prints.
 """
 
 from __future__ import annotations
@@ -22,15 +24,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from enum import Enum
 from functools import lru_cache
 
-from .errors import Value
+from .errors import InternalInconsistency, Value
 
 __all__ = [
     "DivClass",
-    "Family",
-    "ExceptionalCurve",
     "ZERO",
     "L",
     "H",
@@ -65,7 +64,7 @@ class DivClass(Value):
             raise TypeError("coordinates must be integers")
         object.__setattr__(self, "coeffs", coeffs)
 
-    # the key of h0's cache and of _by_class: Value's generic __eq__ and
+    # the key of h0's cache and of the census: Value's generic __eq__ and
     # __hash__ would take about twice as long per call
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -180,71 +179,27 @@ def intersect(a: DivClass, b: DivClass) -> int:
     return a.dot(b)
 
 
-class Family(Enum):
-    """The four classical families of (-1)-curves on the 7-point blow-up."""
-
-    E = "E"  # exceptional curves of the blow-up
-    L = "L"  # strict transforms of lines through two points
-    C = "C"  # strict transforms of conics through five points
-    D = "D"  # strict transforms of nodal cubics through all seven points
-
-
-class ExceptionalCurve(Value):
-    """A (-1)-curve class together with its family tag and point indices."""
-
-    __slots__ = ("cls", "family", "indices")
-
-    def __init__(self, cls: DivClass, family: Family, indices: tuple[int, ...]):
-        if cls.selfint != -1 or cls.dot(H) != 1:
-            raise ValueError(f"{cls!r} is not a (-1)-curve of degree 1")
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def name(self) -> str:
-        return self.family.value + "".join(str(i) for i in self.indices)
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def _make(family: Family, indices: tuple[int, ...]) -> ExceptionalCurve:
-    if family is Family.E:
-        cls = E(indices[0])
-    elif family is Family.L:
-        cls = line_through(*indices)
-    elif family is Family.C:
-        cls = conic_through(*indices)
-    else:
-        cls = cubic_with_node(indices[0])
-    return ExceptionalCurve(cls, family, indices)
-
-
 @lru_cache(maxsize=1)
-def _exceptional_curves() -> tuple[ExceptionalCurve, ...]:
-    curves = [_make(Family.E, (i,)) for i in range(1, 8)]
-    curves += [_make(Family.L, ij) for ij in itertools.combinations(range(1, 8), 2)]
-    curves += [_make(Family.C, ij) for ij in itertools.combinations(range(1, 8), 2)]
-    curves += [_make(Family.D, (i,)) for i in range(1, 8)]
-    return tuple(curves)
+def _census() -> dict[DivClass, str]:
+    """The 56 (-1)-curve classes in census order, each with its name E1..D7."""
+    pairs = list(itertools.combinations(range(1, 8), 2))
+    census = {E(i): f"E{i}" for i in range(1, 8)}
+    census.update({line_through(i, j): f"L{i}{j}" for i, j in pairs})
+    census.update({conic_through(i, j): f"C{i}{j}" for i, j in pairs})
+    census.update({cubic_with_node(i): f"D{i}" for i in range(1, 8)})
+    if len(census) != 56 or any(c.selfint != -1 or c.dot(H) != 1 for c in census):
+        raise InternalInconsistency("the census holds a class that is not a (-1)-curve of degree 1")
+    return census
 
 
-def enumerate_exceptional() -> list[ExceptionalCurve]:
+def enumerate_exceptional() -> list[DivClass]:
     """All 56 (-1)-curve classes: E1..E7, then Lij, Cij (lexicographic), then D1..D7."""
-    return list(_exceptional_curves())
+    return list(_census())
 
 
-@lru_cache(maxsize=1)
-def _by_class() -> dict[DivClass, ExceptionalCurve]:
-    return {c.cls: c for c in _exceptional_curves()}
-
-
-def classify(d: DivClass) -> ExceptionalCurve | None:
-    """Match a class against the four closed-form families; None if not a (-1)-curve."""
-    if d.selfint != -1 or d.dot(H) != 1:
-        return None
-    return _by_class().get(d)
+def classify(d: DivClass) -> DivClass | None:
+    """d itself when it is one of the 56 (-1)-curve classes, else None."""
+    return d if d in _census() else None
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +348,8 @@ def parse_divisor(text: str) -> DivClass:
 
 @lru_cache(maxsize=1)
 def _named_classes() -> dict[DivClass, str]:
-    named = {ZERO: "0", H: "H", K: "K", L: "L", F: "F"}
-    for c in _exceptional_curves():
-        named.setdefault(c.cls, c.name)
-    return named
+    # none of the five short names is a curve class
+    return {**_census(), ZERO: "0", H: "H", K: "K", L: "L", F: "F"}
 
 
 def format_divisor(d: DivClass) -> str:

@@ -69,19 +69,15 @@ def _claim(claim_id: str, description: str, paper_ref: str, expected: Any,
 # ---------------------------------------------------------------------------
 
 
-def _curve_classes() -> list[DivClass]:
-    return [c.cls for c in enumerate_exceptional()]
-
-
 def _census_matches_scan() -> dict[str, Any]:
     # complete, not just a box search: see picard.coordinate_bounds
     scanned = picard.classes_with(1, -1)
     return {"scan_count": len(scanned),
-            "matches_closed_form": set(scanned) == set(_curve_classes())}
+            "matches_closed_form": set(scanned) == set(enumerate_exceptional())}
 
 
 def _sigma_permutation() -> dict[str, Any]:
-    curves = _curve_classes()
+    curves = enumerate_exceptional()
     images = [sigma(c) for c in curves]
     index = {c: i for i, c in enumerate(curves)}
     image = [index.get(s) for s in images]
@@ -124,14 +120,14 @@ def _same_lattice(gens_a: list[DivClass], gens_b: list[DivClass]) -> bool:
 def _all_differences_are_cocycles() -> bool:
     # (1 + sigma)(a - b) = (1 + sigma)a - (1 + sigma)b, so all 3136 differences
     # are cocycles exactly when the 56 images sigma(C) + C are one class
-    return len({sigma(c) + c for c in _curve_classes()}) == 1
+    return len({sigma(c) + c for c in enumerate_exceptional()}) == 1
 
 
 def _all_63_represented() -> bool:
     for code in range(64):
         bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
         e, eprime = galois.represent_as_difference(bits)
-        if class_of(e.cls - eprime.cls) != bits:
+        if class_of(e - eprime) != bits:
             return False
     return True
 
@@ -140,8 +136,8 @@ def _e1e3_pair_payload() -> dict[str, Any]:
     bits = CohClass((1, 0, 1, 0, 0, 0))
     e, eprime = galois.represent_as_difference(bits)
     # a difference of two curves is a cocycle, so class_of is asked only then
-    exceptional = all(picard.classify(c.cls) == c for c in (e, eprime))
-    return {"class_matches": exceptional and class_of(e.cls - eprime.cls) == bits,
+    exceptional = all(picard.classify(c) is not None for c in (e, eprime))
+    return {"class_matches": exceptional and class_of(e - eprime) == bits,
             "pair_is_exceptional": exceptional}
 
 
@@ -149,7 +145,7 @@ def _all_63_disjoint() -> bool:
     for code in range(1, 64):
         bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
         e, eprime = galois.disjoint_representative(bits)
-        if intersect(e.cls, eprime.cls) != 0 or class_of(e.cls - eprime.cls) != bits:
+        if intersect(e, eprime) != 0 or class_of(e - eprime) != bits:
             return False
     return True
 
@@ -213,10 +209,10 @@ def _minimal_c2_table(model: order.OrderModel) -> dict[str, int]:
 
 def _model_payload(model: order.OrderModel) -> dict[str, Any]:
     return {
-        "e": model.e.name,
-        "eprime": model.eprime.name,
-        "sigma_eprime": model.sigma_eprime.name,
-        "disjoint": intersect(model.e.cls, model.eprime.cls) == 0,
+        "e": picard.format_divisor(model.e),
+        "eprime": picard.format_divisor(model.eprime),
+        "sigma_eprime": picard.format_divisor(model.sigma_eprime),
+        "disjoint": intersect(model.e, model.eprime) == 0,
         "f_is_F": model.f == F,
         "f_square": model.f.selfint,
         "f_degree": intersect(model.f, H),
@@ -306,16 +302,16 @@ def _registry() -> list[Claim]:
                "intersection numbers of the halved anticanonical class",
                {"HH": 2, "HE_all_one": True},
                lambda: {"HH": intersect(H, H),
-                        "HE_all_one": all(intersect(H, c) == 1 for c in _curve_classes())}),
+                        "HE_all_one": all(intersect(H, c) == 1 for c in enumerate_exceptional())}),
         _claim("PIC.COUNT56", "exactly 56 exceptional curve classes",
                "census of (-1)-curves on the blown-up double plane",
                56, lambda: len(enumerate_exceptional())),
         _claim("PIC.FAMILIES", "family sizes 7 (points), 21 (lines), 21 (conics), 7 (cubics)",
                "the four classical families of (-1)-curves",
                [7, 21, 21, 7],
-               lambda: [sum(1 for c in enumerate_exceptional() if c.family is fam)
-                        for fam in (picard.Family.E, picard.Family.L,
-                                    picard.Family.C, picard.Family.D)]),
+               # a family is the curves of one degree 0-3 in L
+               lambda: [sum(1 for c in enumerate_exceptional() if c.coeffs[0] == d)
+                        for d in range(4)]),
         _claim("PIC.SCAN", "closed-form census equals the exhaustive box scan",
                "derived",
                {"scan_count": 56, "matches_closed_form": True},

@@ -25,9 +25,9 @@ from dp2.picard import (
     E,
     F,
     H,
-    classify,
     conic_through,
     enumerate_exceptional,
+    format_divisor,
     intersect,
     line_through,
 )
@@ -43,9 +43,11 @@ LCLASS = F - H
 
 def test_standard_model():
     model = standard_model()
-    assert (model.e.name, model.eprime.name) == ("E1", "C12")
-    assert model.sigma_eprime.name == "L12"
-    assert intersect(model.e.cls, model.eprime.cls) == 0
+    assert (model.e, model.eprime, model.sigma_eprime) == (E(1), conic_through(1, 2),
+                                                           line_through(1, 2))
+    assert [format_divisor(c) for c in (model.e, model.eprime, model.sigma_eprime)] == [
+        "E1", "C12", "L12"]
+    assert intersect(model.e, model.eprime) == 0
     assert model.lclass == LCLASS
     assert model.f == F
     assert model.f.selfint == 0
@@ -58,13 +60,13 @@ def test_standard_model():
 
 def test_model_rejects_meeting_pair():
     with pytest.raises(ValueError):
-        OrderModel(classify(E(1)), classify(line_through(1, 2)))  # E1.L12 = 1
+        OrderModel(E(1), line_through(1, 2))  # E1.L12 = 1
 
 
 def test_model_accepts_any_disjoint_nontrivial_pair():
     built = 0
     for a, b in itertools.combinations(enumerate_exceptional(), 2):
-        if intersect(a.cls, b.cls) == 0 and not class_of(a.cls - b.cls).is_zero():
+        if intersect(a, b) == 0 and not class_of(a - b).is_zero():
             model = OrderModel(a, b)
             assert model.f.selfint == 0 and intersect(model.f, H) == 2
             built += 1
@@ -147,7 +149,7 @@ def test_serre_twist():
 
 def test_serre_twist_pairing_symmetry(rng):
     for _ in range(100):
-        d1 = classify(sigma(E(rng.randint(1, 7)))).cls
+        d1 = sigma(E(rng.randint(1, 7)))
         x = ch_of(2, d1 + F, rng.randint(-5, 5))
         y = ch_line(d1 - E(1))
         assert euler_pairing(x, y) == euler_pairing(y, serre_twist(x))
@@ -163,8 +165,8 @@ def test_ramification_splits():
         ("L27", "E7"),
     ]
     ramification = standard_model().ramification
-    assert [classify(g).name for g, _ in ramification] == ["E1", "E3", "E4", "E5", "E6", "E7"]
-    assert [tuple(classify(s).name for s in split.summands)
+    assert [format_divisor(g) for g, _ in ramification] == ["E1", "E3", "E4", "E5", "E6", "E7"]
+    assert [tuple(format_divisor(s) for s in split.summands)
             for _, split in ramification] == expected
     for generator, split in ramification:
         assert split.slopes == (1, 1)
@@ -202,7 +204,7 @@ def test_case_iv_all_branch_pairs():
 def _all_disjoint_gauges():
     curves = enumerate_exceptional()
     return [OrderModel(a, b) for a in curves for b in curves
-            if a != b and intersect(a.cls, b.cls) == 0]
+            if a != b and intersect(a, b) == 0]
 
 
 def test_ramification_derived_for_every_gauge():
@@ -212,8 +214,7 @@ def test_ramification_derived_for_every_gauge():
     for model in models:
         ramification = model.ramification
         assert len(ramification) == 6
-        assert ramification[0] == (model.e.cls, SplitBundle.of(model.e.cls,
-                                                               model.sigma_eprime.cls))
+        assert ramification[0] == (model.e, SplitBundle.of(model.e, model.sigma_eprime))
         for generator, split in ramification:
             assert split.slopes == (1, 1)
             assert (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
@@ -251,10 +252,10 @@ def test_replay_works_for_other_gauges(rng):
     candidates = [
         OrderModel(a, b)
         for a, b in itertools.combinations(enumerate_exceptional(), 2)
-        if intersect(a.cls, b.cls) == 0 and not class_of(a.cls - b.cls).is_zero()
+        if intersect(a, b) == 0 and not class_of(a - b).is_zero()
     ]
     assert len(candidates) > 100
-    for model in [OrderModel(classify(E(2)), classify(conic_through(2, 3)))] + rng.sample(
+    for model in [OrderModel(E(2), conic_through(2, 3))] + rng.sample(
             candidates, 10):
         assert all(r.passed for r in replay_exceptional(model))
         assert all(r.passed for r in replay_orthogonality(model))

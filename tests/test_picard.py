@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
+from dp2 import picard
+from dp2.errors import InternalInconsistency
 from dp2.picard import (
     ZERO,
     DivClass,
     E,
     F,
-    Family,
     H,
     K,
     L,
@@ -45,7 +46,7 @@ def test_hyperplane_numbers():
     assert H == 3 * L - sum((E(i) for i in range(1, 8)), ZERO)
     assert intersect(H, H) == 2
     for c in enumerate_exceptional():
-        assert intersect(H, c.cls) == 1
+        assert intersect(H, c) == 1
 
 
 def test_e1_dot_d1_from_expansion():
@@ -61,7 +62,7 @@ def test_canonical_class():
     assert intersect(K, K) == 9 - 7 == 2
     assert K + H == ZERO
     for c in enumerate_exceptional():
-        assert intersect(K, c.cls) == -1
+        assert intersect(K, c) == -1
 
 
 def test_intersect_symmetric_bilinear(rng, random_classes):
@@ -75,12 +76,12 @@ def test_intersect_symmetric_bilinear(rng, random_classes):
 def test_census_counts_and_families():
     curves = enumerate_exceptional()
     assert len(curves) == 56
-    assert len({c.cls for c in curves}) == 56
-    by_family = {fam: [c for c in curves if c.family is fam] for fam in Family}
-    assert [len(by_family[f]) for f in (Family.E, Family.L, Family.C, Family.D)] == [7, 21, 21, 7]
+    assert len(set(curves)) == 56
+    # a family is the curves of one degree in L: E 0, L 1, C 2, D 3
+    assert [sum(1 for c in curves if c.coeffs[0] == d) for d in range(4)] == [7, 21, 21, 7]
     for c in curves:
-        assert c.cls.selfint == -1
-        assert intersect(c.cls, H) == 1
+        assert c.selfint == -1
+        assert intersect(c, H) == 1
 
 
 def test_census_family_closed_forms():
@@ -91,7 +92,7 @@ def test_census_family_closed_forms():
                  for i, j in itertools.combinations(range(1, 8), 2)]
     expected += [(3 * L - 2 * E(i) - sum((E(k) for k in range(1, 8) if k != i), ZERO)).coeffs
                  for i in range(1, 8)]
-    assert [c.cls.coeffs for c in curves] == expected
+    assert [c.coeffs for c in curves] == expected
 
 
 def brute_force_box_scan():
@@ -110,7 +111,7 @@ def brute_force_box_scan():
 
 
 def test_census_equals_brute_force_scan():
-    assert {c.cls.coeffs for c in enumerate_exceptional()} == brute_force_box_scan()
+    assert {c.coeffs for c in enumerate_exceptional()} == brute_force_box_scan()
 
 
 def test_census_bounds_are_derived():
@@ -119,7 +120,7 @@ def test_census_bounds_are_derived():
 
 def test_enumerator_finds_the_census_in_order():
     found = [d.coeffs for d in classes_with(1, -1)]
-    assert found == sorted(c.cls.coeffs for c in enumerate_exceptional())
+    assert found == sorted(c.coeffs for c in enumerate_exceptional())
 
 
 def test_enumerator_finds_the_126_roots_of_e7():
@@ -152,28 +153,61 @@ def test_enumerator_empty_when_no_class_exists():
 
 
 def test_census_closed_under_bitangent_pairing():
-    classes = {c.cls for c in enumerate_exceptional()}
+    classes = set(enumerate_exceptional())
     for c in classes:
         assert H - c in classes
 
 
 def test_classify_examples():
-    lij = classify(DivClass.of(1, -1, -1, 0, 0, 0, 0, 0))
-    assert lij is not None and lij.family is Family.L and lij.indices == (1, 2)
-    assert classify(H) is None
+    lij = DivClass.of(1, -1, -1, 0, 0, 0, 0, 0)
+    assert classify(lij) is lij and format_divisor(lij) == "L12"
     # oracle: expand 2L - sum(Ek, k != 1, 2)
-    cij = classify(DivClass.of(2, 0, 0, -1, -1, -1, -1, -1))
-    assert cij is not None and cij.family is Family.C and cij.indices == (1, 2)
-    assert classify(ZERO) is None
+    cij = DivClass.of(2, 0, 0, -1, -1, -1, -1, -1)
+    assert classify(cij) is cij and format_divisor(cij) == "C12"
+    for d in (ZERO, L, H, E(1) + E(2)):
+        assert classify(d) is None
     for c in enumerate_exceptional():
-        assert classify(c.cls) == c
+        assert classify(c) is c
+
+
+def test_classify_agrees_with_the_numerical_definition_on_the_box():
+    # every class with D.D = -1 and D.H = 1 lies in this box (coordinate_bounds)
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in coordinate_bounds(1, -1)))
+    for v in box:
+        d = DivClass(v)
+        is_curve = raw_intersect(v, v) == -1 and 3 * v[0] + sum(v[1:]) == 1
+        assert (classify(d) is d) == is_curve, v
 
 
 def test_curve_names():
-    assert classify(E(3)).name == "E3"
-    assert classify(line_through(2, 5)).name == "L25"
-    assert classify(conic_through(1, 7)).name == "C17"
-    assert classify(cubic_with_node(6)).name == "D6"
+    assert format_divisor(E(3)) == "E3"
+    assert format_divisor(line_through(2, 5)) == "L25"
+    assert format_divisor(conic_through(1, 7)) == "C17"
+    assert format_divisor(cubic_with_node(6)) == "D6"
+
+
+def _name_from_coordinates(coeffs):
+    # E_i has the 1 at i; L_ij the -1s, C_ij the 0s, D_i the -2 at i
+    d, ms = coeffs[0], coeffs[1:]
+    marked = {0: 1, 1: -1, 2: 0, 3: -2}[d]
+    return "ELCD"[d] + "".join(str(i) for i, m in enumerate(ms, 1) if m == marked)
+
+
+def test_census_names_follow_from_the_coordinates():
+    curves = enumerate_exceptional()
+    names = [format_divisor(c) for c in curves]
+    assert names == [_name_from_coordinates(c.coeffs) for c in curves]
+    assert len(set(names)) == 56
+
+
+def test_census_refuses_a_class_that_is_not_a_curve(monkeypatch):
+    monkeypatch.setattr(picard, "cubic_with_node", lambda i: 3 * L - 2 * E(i))
+    picard._census.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency, match="not a \\(-1\\)-curve"):
+            picard.enumerate_exceptional()
+    finally:
+        picard._census.cache_clear()
 
 
 def test_parse_raw_vector():

@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -127,15 +126,15 @@ def _failing_differences(curves):
 
 
 def test_cocycle_claim_agrees_with_every_pair():
-    curves = replay._curve_classes()
+    curves = replay.enumerate_exceptional()
     assert len(curves) == 56
     assert _failing_differences(curves) == []
     assert replay.run_one("GAL.EE.COCYCLE").computed is True
 
 
 def test_cocycle_claim_fails_when_a_non_curve_joins(monkeypatch):
-    curves = replay._curve_classes() + [L]
-    monkeypatch.setattr(replay, "_curve_classes", lambda: curves)
+    curves = replay.enumerate_exceptional() + [L]
+    monkeypatch.setattr(replay, "enumerate_exceptional", lambda: curves)
     report = replay.run_one("GAL.EE.COCYCLE")
     assert report.computed is False and not report.passed
     assert _failing_differences(curves)
@@ -161,7 +160,7 @@ def test_e1e3_claim_fails_for_a_non_curve_partner(monkeypatch):
 
     def with_fake_partner(bits):
         e, _ = real(bits)
-        return e, SimpleNamespace(name="L", cls=L)
+        return e, L
 
     monkeypatch.setattr(galois, "represent_as_difference", with_fake_partner)
     report = replay.run_one("GAL.REPR.E1E3")

@@ -23,12 +23,7 @@ from dp2.cohom import CohomDims, DimSequence, Interval, LesResult, les_solve
 from dp2.errors import Value
 from dp2.galois import CohClass
 from dp2.order import OrderModel, SplitBundle, standard_model
-from dp2.picard import DivClass, E, ExceptionalCurve, F, Family, H, L, classify, conic_through
-
-E1_REPR = ("ExceptionalCurve(cls=DivClass(0, 1, 0, 0, 0, 0, 0, 0), family=<Family.E: 'E'>, "
-           "indices=(1,))")
-C12_REPR = ("ExceptionalCurve(cls=DivClass(2, 0, 0, -1, -1, -1, -1, -1), family=<Family.C: 'C'>, "
-            "indices=(1, 2))")
+from dp2.picard import DivClass, E, F, H, L, conic_through
 
 
 def _cases():
@@ -36,8 +31,6 @@ def _cases():
     return [
         (H, DivClass((3, -1, -1, -1, -1, -1, -1, -1)),
          "DivClass(3, -1, -1, -1, -1, -1, -1, -1)", ((3, -1, -1, -1, -1, -1, -1, -1),), "coeffs"),
-        (classify(E(1)), ExceptionalCurve(E(1), Family.E, (1,)), E1_REPR,
-         (E(1), Family.E, (1,)), "cls"),
         (ch_of(2, F, 1), ChernChar(2, L - E(2), -2),
          "ChernChar(rank=2, c=DivClass(1, 0, -1, 0, 0, 0, 0, 0), s2=-2)", (2, F, -2), "rank"),
         (CohomDims(3, 0, 0), CohomDims(3, 0, 0), "CohomDims(h0=3, h1=0, h2=0)", (3, 0, 0), "h0"),
@@ -51,9 +44,10 @@ def _cases():
          ((1, 2, 1), (Interval(0, 0), Interval(1, 1), Interval(1, 1), Interval(0, 0))), "ranks"),
         (CohClass.from_bits("100000"), CohClass((1, 0, 0, 0, 0, 0)),
          "CohClass(bits=(1, 0, 0, 0, 0, 0))", ((1, 0, 0, 0, 0, 0),), "bits"),
-        (standard_model(), OrderModel(classify(E(1)), classify(conic_through(1, 2))),
-         f"OrderModel(e={E1_REPR}, eprime={C12_REPR})",
-         (classify(E(1)), classify(conic_through(1, 2))), "eprime"),
+        (standard_model(), OrderModel(E(1), conic_through(1, 2)),
+         "OrderModel(e=DivClass(0, 1, 0, 0, 0, 0, 0, 0), "
+         "eprime=DivClass(2, 0, 0, -1, -1, -1, -1, -1))",
+         (E(1), conic_through(1, 2)), "eprime"),
         (SplitBundle.of(H, L), SplitBundle((H, L)),
          "SplitBundle(summands=(DivClass(3, -1, -1, -1, -1, -1, -1, -1), "
          "DivClass(1, 0, 0, 0, 0, 0, 0, 0)))", ((H, L),), "summands"),
@@ -118,14 +112,14 @@ def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: DivClass((1, 2)), ValueError, "need 8 coordinates, got 2"),
     (lambda: DivClass((1.0,) * 8), TypeError, "coordinates must be integers"),
-    (lambda: ExceptionalCurve(H, Family.E, (1,)), ValueError,
-     "DivClass(3, -1, -1, -1, -1, -1, -1, -1) is not a (-1)-curve of degree 1"),
     (lambda: ChernChar(1, H, 1), ValueError,
      "degree-2 part 1/2 violates integrality against c^2 = 2"),
     (lambda: DimSequence(()), ValueError, "empty sequence"),
     (lambda: DimSequence((1, -1)), ValueError, "entries must be nonnegative ints or None, got -1"),
     (lambda: CohClass((1, 0)), ValueError, "need six bits, got (1, 0)"),
-    (lambda: OrderModel(classify(E(1)), classify(E(1))), ValueError, "E1 and E1 are not disjoint"),
+    (lambda: OrderModel(E(1), E(1)), ValueError, "E1 and E1 are not disjoint"),
+    (lambda: OrderModel(L, E(1)), ValueError, "L is not a (-1)-curve"),
+    (lambda: OrderModel(E(1), E(1) + E(2)), ValueError, "E1+E2 is not a (-1)-curve"),
 ])
 def test_construction_checks(build, error, message):
     with pytest.raises(error) as info:
@@ -134,7 +128,7 @@ def test_construction_checks(build, error, message):
 
 
 def test_order_model_ramification_is_computed_once(monkeypatch):
-    model = OrderModel(classify(E(1)), classify(conic_through(1, 2)))
+    model = OrderModel(E(1), conic_through(1, 2))
     calls = []
     real = order.enumerate_exceptional
     monkeypatch.setattr(order, "enumerate_exceptional", lambda: calls.append(1) or real())
@@ -159,7 +153,7 @@ def test_every_value_type_has_a_case():
 
 
 def test_cached_ramification_is_not_a_field():
-    model = OrderModel(classify(E(1)), classify(conic_through(1, 2)))
+    model = OrderModel(E(1), conic_through(1, 2))
     before = (repr(model), hash(model))
     assert model.ramification
     assert "ramification" in vars(model)

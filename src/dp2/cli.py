@@ -204,7 +204,7 @@ def _cmd_cohom_witness(args) -> int:
 def _cmd_cohom_les(args) -> int:
     from . import cohom
 
-    result = cohom.les_solve(cohom.DimSequence(tuple(_parse_les(args.dims))))
+    result = cohom.les_solve(_parse_les(args.dims))
     entries = [e if isinstance(e, int) else {"lo": e.lo, "hi": e.hi}
                for e in result.entries]
     if args.json:

@@ -22,8 +22,8 @@ cross-checks the peeling route.
 
 The module also contains the exact-sequence dimension solver used to replay
 long-exact-sequence squeezes: given the dimensions of an exact sequence with
-zero maps at both ends (some entries unknown), it propagates the rank
-equations d_i = r_{i-1} + r_i, r_i >= 0 to exact integer intervals.
+zero maps at both ends as a list (None where unknown), it propagates the
+rank equations d_i = r_{i-1} + r_i, r_i >= 0 to exact integer intervals.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "noneffective_witness",
     "cohom_ideal_twist",
     "Interval",
-    "DimSequence",
     "LesResult",
     "les_solve",
 ]
@@ -123,18 +122,21 @@ def cohom_dims(d: DivClass) -> CohomDims:
 
 @lru_cache(maxsize=1)
 def _witness_pool() -> tuple[DivClass, ...]:
-    return (H, L, *(L - E(i) for i in range(1, 8)))
+    pool = (H, L, *(L - E(i) for i in range(1, 8)))
+    if any(w.selfint < 0 for w in pool):
+        raise InternalInconsistency("the witness pool holds a class of negative square")
+    return pool
 
 
 def noneffective_witness(d: DivClass) -> DivClass | None:
-    """First pool class W with W.W >= 0 and D.W < 0; a certificate that h0(D) = 0.
+    """First pool class W with D.W < 0; a certificate that h0(D) = 0.
 
-    A returned witness is an irreducible class of nonnegative square meeting
-    D negatively, so D cannot be effective; this is cross-checked against the
-    peeling oracle.
+    Every pool class is irreducible with W.W >= 0, checked once when the pool
+    is built, so a returned witness meets D negatively and D cannot be
+    effective; this is cross-checked against the peeling oracle.
     """
     for w in _witness_pool():
-        if w.selfint >= 0 and intersect(d, w) < 0:
+        if intersect(d, w) < 0:
             if h0(d) != 0:
                 raise InternalInconsistency(
                     f"witness {w!r} contradicts h0({d!r}) = {h0(d)}")
@@ -194,24 +196,6 @@ class Interval(Value):
         return f"[{self.lo}..{'inf' if self.hi is None else self.hi}]"
 
 
-class DimSequence(Value):
-    """Dimensions of an exact sequence, zero maps at both ends; None = unknown."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int | None, ...]):
-        if not entries:
-            raise ValueError("empty sequence")
-        for e in entries:
-            if e is not None and (not isinstance(e, int) or e < 0):
-                raise ValueError(f"entries must be nonnegative ints or None, got {e!r}")
-        object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def of(*entries: int | None) -> "DimSequence":
-        return DimSequence(tuple(entries))
-
-
 class LesResult(Value):
     """Solved entries (int where forced, Interval otherwise) plus rank intervals."""
 
@@ -239,48 +223,40 @@ def _image(prev: Interval, d: int) -> Interval:
     return Interval(max(lo, 0), hi)
 
 
-def les_solve(seq: DimSequence) -> LesResult:
+def les_solve(entries: list[int | None]) -> LesResult:
     """Solve d_i = r_{i-1} + r_i with r_0 = r_n = 0 and all r_i >= 0.
 
     Forward/backward interval propagation along the chain is exact here, so
-    every unknown entry comes back either as a forced integer or as the exact
-    interval of its feasible values.  Raises Infeasible when the known entries
-    admit no rank assignment at all.
+    every unknown entry (None) comes back either as a forced integer or as the
+    exact interval of its feasible values.  Raises Infeasible when the known
+    entries admit no rank assignment at all.
     """
-    if isinstance(seq, (list, tuple)):
-        seq = DimSequence(tuple(seq))
-    d = seq.entries
-    n = len(d)
+    if not entries:
+        raise ValueError("empty sequence")
+    for e in entries:
+        if e is not None and (not isinstance(e, int) or e < 0):
+            raise ValueError(f"entries must be nonnegative ints or None, got {e!r}")
     top = Interval(0, None)
-
     fwd = [Interval(0, 0)]
-    for i in range(1, n + 1):
-        nxt = top if d[i - 1] is None else _image(fwd[i - 1], d[i - 1])
-        if nxt.is_empty():
-            raise Infeasible(f"no rank assignment for {seq}")
-        fwd.append(nxt)
+    for known in entries:
+        fwd.append(top if known is None else _image(fwd[-1], known))
+    bwd = [Interval(0, 0)]
+    for known in reversed(entries):
+        bwd.append(top if known is None else _image(bwd[-1], known))
+    bwd.reverse()
+    # an empty forward or backward interval leaves its meet empty too
+    ranks = [f.meet(b) for f, b in zip(fwd, bwd)]
+    if any(r.is_empty() for r in ranks):
+        shown = ", ".join("?" if e is None else str(e) for e in entries)
+        raise Infeasible(f"no rank assignment for {shown}")
 
-    bwd = [top] * (n + 1)
-    bwd[n] = Interval(0, 0)
-    for i in range(n - 1, -1, -1):
-        bwd[i] = top if d[i] is None else _image(bwd[i + 1], d[i])
-        if bwd[i].is_empty():
-            raise Infeasible(f"no rank assignment for {seq}")
-
-    ranks = []
-    for f, b in zip(fwd, bwd):
-        r = f.meet(b)
-        if r.is_empty():
-            raise Infeasible(f"no rank assignment for {seq}")
-        ranks.append(r)
-
-    entries: list[int | Interval] = []
-    for i, known in enumerate(d):
+    solved: list[int | Interval] = []
+    for i, known in enumerate(entries):
         if known is not None:
-            entries.append(known)
+            solved.append(known)
             continue
         left, right = ranks[i], ranks[i + 1]
         hi = None if (left.hi is None or right.hi is None) else left.hi + right.hi
         iv = Interval(left.lo + right.lo, hi)
-        entries.append(iv.lo if iv.is_point() else iv)
-    return LesResult(tuple(entries), tuple(ranks))
+        solved.append(iv.lo if iv.is_point() else iv)
+    return LesResult(tuple(solved), tuple(ranks))

@@ -134,11 +134,6 @@ def solver(m: Matrix) -> Callable[[Vector], Vector | None]:
     return solve_for
 
 
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """One integer solution of m*x = b, or None when none exists."""
-    return solver(m)(b)
-
-
 def smith_elementary_divisors(m: Matrix) -> list[int]:
     """The nonzero diagonal of the Smith normal form, each dividing the next."""
     a = [row[:] for row in m]

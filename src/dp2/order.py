@@ -104,18 +104,6 @@ class OrderModel(Value):
         """F = E + sigma(E') = lclass + H; square 0, degree 2 against H."""
         return self.e + self.sigma_eprime
 
-    @property
-    def c1_order(self) -> DivClass:
-        return self.lclass
-
-    @property
-    def c1_module(self) -> DivClass:
-        return self.lclass + H
-
-    @property
-    def c1_twisted_order(self) -> DivClass:
-        return self.lclass + 2 * H
-
     def order_char(self) -> ChernChar:
         """ch of the order's rank-2 restriction O + O(lclass)."""
         return chern_of_extension(CH_O, ch_line(self.lclass))
@@ -306,9 +294,10 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
     final exact-sequence squeeze in degree 1.
     """
     f = model.f
+    twisted = f + H  # c1(A x O(H)) = lclass + 2H
     reports = []
 
-    diff0 = model.c1_module - model.c1_twisted_order
+    diff0 = f - twisted
     reports.append(reporting.report(
         "ORTH.I0",
         "degree 0: c1(E_t) - c1(A x O(H)) = -H is not effective, so Hom = 0",
@@ -316,11 +305,11 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
         {"difference_is_minus_H": True, "hom_vanishes": True},
         {
             "difference_is_minus_H": diff0 == -H,
-            "hom_vanishes": hom_vanishing_by_det(model.c1_twisted_order, model.c1_module),
+            "hom_vanishes": hom_vanishing_by_det(twisted, f),
         },
     ))
 
-    diff2 = model.c1_order - model.c1_module
+    diff2 = model.lclass - f
     reports.append(reporting.report(
         "ORTH.I2",
         "degree 2 via the canonical twist: c1(A) - c1(E_t) = -H, so Hom(E_t, A) = 0",
@@ -328,7 +317,7 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
         {"difference_is_minus_H": True, "hom_vanishes": True},
         {
             "difference_is_minus_H": diff2 == -H,
-            "hom_vanishes": hom_vanishing_by_det(model.c1_module, model.c1_order),
+            "hom_vanishes": hom_vanishing_by_det(f, model.lclass),
         },
     ))
 

@@ -282,42 +282,25 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
 # text grammar
 #
 # Either a raw coordinate vector "d,m1,m2,m3,m4,m5,m6,m7" or a signed sum of
-# symbolic tokens with optional integer multipliers:
+# symbolic tokens with optional integer multipliers.  A token is one of the
+# names format_divisor prints, looked up in the inverse of that table:
 #
-#     H K L F E1..E7 L12..L67 C12..C67 D1..D7 0
+#     H K L F 0 and the census names E1..E7 L12..L67 C12..C67 D1..D7
 #
-# e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace is ignored; "L21" normalises
-# to "L12".
+# e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace is ignored; the two indices
+# of an L or C token may come in either order, so "L21" is "L12".
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"([+-]?)(\d*)\*?([A-Za-z][0-9]*|0)")
 
 
 def _token_class(tok: str) -> DivClass:
-    if tok == "0":
-        return ZERO
-    if tok == "H":
-        return H
-    if tok == "K":
-        return K
-    if tok == "L":
-        return L
-    if tok == "F":
-        return F
-    m = re.fullmatch(r"([ELCD])([1-7])([1-7])?", tok)
-    if not m:
-        raise ValueError(f"unknown divisor token {tok!r}")
-    kind, si, sj = m.group(1), int(m.group(2)), m.group(3)
-    if kind in ("E", "D"):
-        if sj is not None:
-            raise ValueError(f"unknown divisor token {tok!r}")
-        return E(si) if kind == "E" else cubic_with_node(si)
-    if sj is None:
-        raise ValueError(f"token {tok!r} needs two indices")
-    i, j = sorted((si, int(sj)))
-    if i == j:
-        raise ValueError(f"indices of {tok!r} must be distinct")
-    return line_through(i, j) if kind == "L" else conic_through(i, j)
+    # Lji and Cji name the same curve as Lij and Cij
+    name = tok[0] + "".join(sorted(tok[1:])) if len(tok) == 3 and tok[0] in "LC" else tok
+    try:
+        return _classes_by_name()[name]
+    except KeyError:
+        raise ValueError(f"unknown divisor token {tok!r}") from None
 
 
 def parse_divisor(text: str) -> DivClass:
@@ -350,6 +333,11 @@ def parse_divisor(text: str) -> DivClass:
 def _named_classes() -> dict[DivClass, str]:
     # none of the five short names is a curve class
     return {**_census(), ZERO: "0", H: "H", K: "K", L: "L", F: "F"}
+
+
+@lru_cache(maxsize=1)
+def _classes_by_name() -> dict[str, DivClass]:
+    return {name: d for d, name in _named_classes().items()}
 
 
 def format_divisor(d: DivClass) -> str:

@@ -8,7 +8,6 @@ import pytest
 from dp2 import cohom
 from dp2.cohom import (
     CohomDims,
-    DimSequence,
     chi_line,
     cohom_dims,
     cohom_ideal_twist,
@@ -18,7 +17,7 @@ from dp2.cohom import (
     les_solve,
     noneffective_witness,
 )
-from dp2.errors import Infeasible
+from dp2.errors import Infeasible, InternalInconsistency
 from dp2.picard import (
     ZERO,
     DivClass,
@@ -235,6 +234,17 @@ def test_witness_pool_is_nef():
         assert all(intersect(w, c) >= 0 for c in enumerate_exceptional()), w
 
 
+def test_witness_pool_rejects_a_negative_square(monkeypatch):
+    # E(3) doubled makes the pool class L - E(3) square to 1 - 4 = -3
+    monkeypatch.setattr(cohom, "E", lambda i: 2 * E(i) if i == 3 else E(i))
+    cohom._witness_pool.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency, match="negative square"):
+            cohom._witness_pool()
+    finally:
+        cohom._witness_pool.cache_clear()
+
+
 def test_witness_none_for_effective():
     assert noneffective_witness(H) is None
     assert noneffective_witness(ZERO) is None
@@ -285,19 +295,19 @@ def test_ideal_twist_h2_is_h2_of_line(random_classes):
 
 
 def test_les_squeeze():
-    assert les_solve(DimSequence.of(0, None, 0)).entry(1) == 0
-    assert les_solve(DimSequence.of(0, 1, None, 0)).entry(2) == 1
-    assert les_solve(DimSequence.of(None,)).entry(0) == 0
+    assert les_solve([0, None, 0]).entry(1) == 0
+    assert les_solve([0, 1, None, 0]).entry(2) == 1
+    assert les_solve([None]).entry(0) == 0
 
 
 def test_les_six_term_chain():
-    result = les_solve(DimSequence.of(0, None, 1, 1, 0, None))
+    result = les_solve([0, None, 1, 1, 0, None])
     assert result.entry(1) == 0
     assert result.entry(5) == 0
 
 
 def test_les_double_unknown_forced():
-    result = les_solve(DimSequence.of(1, None, 2, 0, None, 3))
+    result = les_solve([1, None, 2, 0, None, 3])
     assert result.entry(1) == 3
     assert result.entry(4) == 3
     feasible, values = oracle_feasible_values((1, None, 2, 0, None, 3))
@@ -306,7 +316,7 @@ def test_les_double_unknown_forced():
 
 
 def test_les_underdetermined_intervals():
-    result = les_solve(DimSequence.of(None, None, 1))
+    result = les_solve([None, None, 1])
     # d1 = r1, d2 = r1 + r2, 1 = r2 (+0): with r2 <= 1 free and r1 free the
     # first two entries stay coupled but each ranges over an interval
     assert not result.determined
@@ -320,19 +330,26 @@ def test_les_underdetermined_intervals():
 
 
 def test_les_infeasible():
-    with pytest.raises(Infeasible):
-        les_solve(DimSequence.of(1, 0))
-    with pytest.raises(Infeasible):
-        les_solve(DimSequence.of(0, 1, 0, 1))
-    with pytest.raises(Infeasible):
-        les_solve(DimSequence.of(2, 1, 2))
+    # the message shows the entries as typed, "?" for an unknown one
+    with pytest.raises(Infeasible, match=r"^no rank assignment for 1, 0$"):
+        les_solve([1, 0])
+    with pytest.raises(Infeasible, match=r"^no rank assignment for 0, 1, 0, 1$"):
+        les_solve([0, 1, 0, 1])
+    with pytest.raises(Infeasible, match=r"^no rank assignment for 2, 1, 2$"):
+        les_solve([2, 1, 2])
+    with pytest.raises(Infeasible, match=r"^no rank assignment for 0, \?, 0, 0, 3$"):
+        les_solve([0, None, 0, 0, 3])
 
 
 def test_les_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        DimSequence.of()
-    with pytest.raises(ValueError):
-        DimSequence.of(-1, 0)
+    for entries, message in [
+        ([], "empty sequence"),
+        ([1, -1], "entries must be nonnegative ints or None, got -1"),
+        ([1.5], "entries must be nonnegative ints or None, got 1.5"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            les_solve(entries)
+        assert str(info.value) == message
 
 
 def test_les_random_against_oracle(rng):
@@ -342,9 +359,9 @@ def test_les_random_against_oracle(rng):
         feasible, values = oracle_feasible_values(seq)
         if not feasible:
             with pytest.raises(Infeasible):
-                les_solve(DimSequence(seq))
+                les_solve(seq)
             continue
-        result = les_solve(DimSequence(seq))
+        result = les_solve(seq)
         for i, entry in enumerate(result.entries):
             if isinstance(entry, int):
                 assert values[i] == {entry}

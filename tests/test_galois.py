@@ -28,6 +28,7 @@ from dp2.picard import (
     conic_through,
     cubic_with_node,
     enumerate_exceptional,
+    format_divisor,
     intersect,
     line_through,
 )
@@ -88,7 +89,7 @@ def test_kernel_membership_and_rank():
     # membership of the stated generators in the computed kernel lattice
     cols = [[k.coeffs[i] for k in kernel] for i in range(8)]
     for gen in [h_class()] + [e_class(i) for i in range(1, 7)]:
-        assert intlinalg.solve(cols, list(gen.coeffs)) is not None
+        assert intlinalg.solver(cols)(list(gen.coeffs)) is not None
 
 
 def test_kernel_is_h_perp():
@@ -102,18 +103,18 @@ def test_kernel_lattice_equals_stated_generators():
     stated = [h_class()] + [e_class(i) for i in range(1, 7)]
     kc = [[d.coeffs[i] for d in kernel] for i in range(8)]
     sc = [[d.coeffs[i] for d in stated] for i in range(8)]
-    assert all(intlinalg.solve(kc, list(d.coeffs)) is not None for d in stated)
-    assert all(intlinalg.solve(sc, list(d.coeffs)) is not None for d in kernel)
+    assert all(intlinalg.solver(kc)(list(d.coeffs)) is not None for d in stated)
+    assert all(intlinalg.solver(sc)(list(d.coeffs)) is not None for d in kernel)
 
 
 def test_image_membership():
     image = one_minus_sigma_image()
     cols = [[d.coeffs[i] for d in image] for i in range(8)]
-    assert intlinalg.solve(cols, list((E(1) - cubic_with_node(1)).coeffs)) is not None
+    assert intlinalg.solver(cols)(list((E(1) - cubic_with_node(1)).coeffs)) is not None
     special = h_class() + e_class(2) + e_class(4) + e_class(6)
-    assert intlinalg.solve(cols, list(special.coeffs)) is not None
+    assert intlinalg.solver(cols)(list(special.coeffs)) is not None
     for gen in [h_class()] + [e_class(i) for i in range(1, 7)]:
-        assert intlinalg.solve(cols, list((2 * gen).coeffs)) is not None
+        assert intlinalg.solver(cols)(list((2 * gen).coeffs)) is not None
 
 
 def test_image_lattice_equals_stated_generators():
@@ -122,8 +123,8 @@ def test_image_lattice_equals_stated_generators():
     stated.append(h_class() + e_class(2) + e_class(4) + e_class(6))
     ic = [[d.coeffs[i] for d in image] for i in range(8)]
     sc = [[d.coeffs[i] for d in stated] for i in range(8)]
-    assert all(intlinalg.solve(ic, list(d.coeffs)) is not None for d in stated)
-    assert all(intlinalg.solve(sc, list(d.coeffs)) is not None for d in image)
+    assert all(intlinalg.solver(ic)(list(d.coeffs)) is not None for d in stated)
+    assert all(intlinalg.solver(sc)(list(d.coeffs)) is not None for d in image)
 
 
 def test_h1_elementary_divisors():
@@ -181,8 +182,9 @@ def test_cocycle_test_agrees_with_applying_one_plus_sigma(rng):
         if is_cocycle:
             galois._require_cocycle(d)
         else:
-            with pytest.raises(NotACocycle, match=r"^\(1\+sigma\) does not kill DivClass"):
+            with pytest.raises(NotACocycle) as info:
                 galois._require_cocycle(d)
+            assert str(info.value) == f"(1+sigma) does not kill {format_divisor(d)}"
     assert outcomes == {True, False}
 
 

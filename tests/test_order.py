@@ -53,9 +53,6 @@ def test_standard_model():
     assert model.f.selfint == 0
     assert intersect(model.f, H) == 2
     assert not class_of(model.lclass).is_zero()
-    assert model.c1_order == LCLASS
-    assert model.c1_module == F
-    assert model.c1_twisted_order == LCLASS + 2 * H
 
 
 def test_model_rejects_meeting_pair():
@@ -134,8 +131,8 @@ def test_decomposition_solve():
 
 def test_hom_vanishing_by_det():
     model = standard_model()
-    assert hom_vanishing_by_det(model.c1_twisted_order, model.c1_module) is True
-    assert hom_vanishing_by_det(model.c1_module, model.c1_order) is True
+    assert hom_vanishing_by_det(model.f + H, model.f) is True
+    assert hom_vanishing_by_det(model.f, model.lclass) is True
     assert hom_vanishing_by_det(F, F) is False
     assert hom_vanishing_by_det(ZERO, H) is False
 
@@ -212,6 +209,8 @@ def test_ramification_derived_for_every_gauge():
     models = _all_disjoint_gauges()
     assert len(models) == 1512
     for model in models:
+        # sigma(E') = H - E' for a census curve, so F = E + sigma(E') = lclass + H
+        assert model.f == model.lclass + H
         ramification = model.ramification
         assert len(ramification) == 6
         assert ramification[0] == (model.e, SplitBundle.of(model.e, model.sigma_eprime))

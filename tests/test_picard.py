@@ -239,6 +239,17 @@ def test_parse_rejects(bad):
         parse_divisor(bad)
 
 
+def test_every_name_parses_back_to_its_class():
+    # the grammar reads its tokens from the table format_divisor prints from
+    named = picard._named_classes()
+    assert len(named) == 61
+    for d in named:
+        assert parse_divisor(format_divisor(d)) == d
+    for i, j in itertools.combinations(range(1, 8), 2):
+        assert parse_divisor(f"L{j}{i}") == line_through(i, j)
+        assert parse_divisor(f"C{j}{i}") == conic_through(i, j)
+
+
 def test_str_round_trip(random_classes):
     for d in random_classes(200):
         assert parse_divisor(str(d)) == d

@@ -19,7 +19,7 @@ import pytest
 import dp2
 from dp2 import order, reporting
 from dp2.chern import ChernChar, ch_of
-from dp2.cohom import CohomDims, DimSequence, Interval, LesResult, les_solve
+from dp2.cohom import CohomDims, Interval, LesResult, les_solve
 from dp2.errors import Value
 from dp2.galois import CohClass
 from dp2.order import OrderModel, SplitBundle, standard_model
@@ -35,8 +35,6 @@ def _cases():
          "ChernChar(rank=2, c=DivClass(1, 0, -1, 0, 0, 0, 0, 0), s2=-2)", (2, F, -2), "rank"),
         (CohomDims(3, 0, 0), CohomDims(3, 0, 0), "CohomDims(h0=3, h1=0, h2=0)", (3, 0, 0), "h0"),
         (Interval(0, None), Interval(0, None), "Interval(lo=0, hi=None)", (0, None), "lo"),
-        (DimSequence.of(1, None, 2), DimSequence((1, None, 2)),
-         "DimSequence(entries=(1, None, 2))", ((1, None, 2),), "entries"),
         (les_solve([1, None, 1]),
          LesResult((1, 2, 1), (Interval(0, 0), Interval(1, 1), Interval(1, 1), Interval(0, 0))),
          "LesResult(entries=(1, 2, 1), ranks=(Interval(lo=0, hi=0), Interval(lo=1, hi=1), "
@@ -114,8 +112,8 @@ def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
     (lambda: DivClass((1.0,) * 8), TypeError, "coordinates must be integers"),
     (lambda: ChernChar(1, H, 1), ValueError,
      "degree-2 part 1/2 violates integrality against c^2 = 2"),
-    (lambda: DimSequence(()), ValueError, "empty sequence"),
-    (lambda: DimSequence((1, -1)), ValueError, "entries must be nonnegative ints or None, got -1"),
+    (lambda: les_solve([]), ValueError, "empty sequence"),
+    (lambda: les_solve([1, -1]), ValueError, "entries must be nonnegative ints or None, got -1"),
     (lambda: CohClass((1, 0)), ValueError, "need six bits, got (1, 0)"),
     (lambda: OrderModel(E(1), E(1)), ValueError, "E1 and E1 are not disjoint"),
     (lambda: OrderModel(L, E(1)), ValueError, "L is not a (-1)-curve"),

@@ -71,10 +71,22 @@ def _parse_chern_triple(text: str) -> chern.ChernChar:
 
 
 def _parse_les(text: str) -> list[int | None]:
+    """Comma-separated dimensions with ? for unknowns; a blank text is the empty sequence."""
     entries: list[int | None] = []
-    for piece in text.split(","):
+    for field, piece in enumerate(text.split(",") if text.strip() else [], 1):
         piece = piece.strip()
-        entries.append(None if piece == "?" else int(piece))
+        if piece == "?":
+            entries.append(None)
+            continue
+        try:
+            value = int(piece)
+        except ValueError:
+            value = None
+        if value is None or value < 0:
+            shown = repr(piece) if piece else "empty"
+            raise ValueError(f"field {field} of {text!r} is {shown}: "
+                             "need a nonnegative integer or ?")
+        entries.append(value)
     return entries
 
 

@@ -16,8 +16,11 @@ With G of order two acting through sigma, the first group cohomology is
 
     H^1(G, Pic Y) = ker(1 + sigma) / im(1 - sigma) = (Z/2)^6,
 
-computed here mechanically by integer kernel/column-space reduction and a
-Smith normal form, not copied from the literature.  Since
+computed here mechanically, not copied from the literature.  An integer
+kernel basis gives ker(1 + sigma) = Z^7, and sigma = -1 on it, so
+(1 - sigma)k = 2k puts 2 ker(1 + sigma) inside the image.  The quotient is
+therefore F_2^7 modulo the image generators' kernel coordinates mod 2: six
+copies of Z/2 when those coordinates have rank 1 over F_2.  Since
 (1 + sigma)D = (D.H) H, a class D is a cocycle exactly when D.H = 0, and that
 one product is the cocycle test.  The class of a cocycle k in the basis
 e_i = Ei - Ei+1 is read off by one exact integer solve of
@@ -30,8 +33,8 @@ left inverse of the basis applied to it) times those seven, mod 2.  Reduced
 mod 2 that linear map is a 6-bit parity code per coordinate of (L, E1..E7),
 and the class of a cocycle is the XOR of the codes of its odd coordinates.
 The module also houses the cocycle tests and the representation of every
-nonzero class as a difference of two exceptional curves (with a
-disjoint-pair refinement).
+class as a difference of two exceptional curves, and of every nonzero class
+as a difference of two disjoint ones.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .picard import (
     E,
     H,
     L,
-    classify,
     enumerate_exceptional,
     format_divisor,
     intersect,
@@ -153,7 +155,7 @@ def _one_minus_solver():
 def _cohomology():
     """(kernel, image, divisors, codes), derived once per process.
 
-    ``divisors`` is the full elementary divisor list, units included.
+    ``divisors`` are the non-unit elementary divisors of the quotient.
     ``codes`` holds one 6-bit parity code per coordinate: the class of a
     cocycle d is the XOR of the codes of its odd coordinates (see class_of).
     """
@@ -162,7 +164,7 @@ def _cohomology():
     if len(kernel) != 7:
         raise InternalInconsistency(f"ker(1+sigma) has rank {len(kernel)}, expected 7")
 
-    # elementary divisors of the quotient: image generators in kernel coordinates
+    # 2 ker lies in im, so ker/im = F_2^7 modulo the image in kernel coordinates mod 2
     in_kernel_coords = intlinalg.solver(_columns(kernel))
     coords = []
     for img in image:
@@ -170,13 +172,13 @@ def _cohomology():
         if c is None:
             raise InternalInconsistency(f"{img!r} is not inside ker(1+sigma)")
         coords.append(c)
-    divisors = intlinalg.smith_elementary_divisors(intlinalg.transpose(coords))
+    divisors = [2] * (len(kernel) - intlinalg.rank_mod_2(coords))
 
     # startup self-check: the bits of class_of are well defined only when
     # H^1 = (Z/2)^6 and the classes of e_1..e_6 generate it.  Solving
     # k = sum x_i e_i + (image combination) gives each kernel vector's class
     # as x mod 2.
-    if [d for d in divisors if d != 1] != [2] * 6:
+    if divisors != [2] * 6:
         raise InternalInconsistency(f"H^1 has elementary divisors {divisors}, expected six 2s")
     class_solver = intlinalg.solver(_columns([e_class(i) for i in range(1, 7)] + image))
     kernel_classes = []
@@ -214,7 +216,7 @@ def one_minus_sigma_image() -> list[DivClass]:
 
 def h1_galois() -> list[int]:
     """Elementary divisors of ker(1 + sigma)/im(1 - sigma), units dropped."""
-    return [d for d in _cohomology()[2] if d != 1]
+    return list(_cohomology()[2])
 
 
 def _require_cocycle(d: DivClass) -> None:
@@ -254,9 +256,15 @@ def _first_pair_per_code(codes: list[int]) -> dict[int, tuple[int, int]]:
 
 
 @lru_cache(maxsize=1)
-def _pair_table() -> dict[int, tuple[int, int]]:
+def _curve_codes() -> tuple[int, ...]:
+    """The code of [C - E1] for each curve C in census order."""
     # class_of is additive, so [C - C'] has code [C - E1] XOR [C' - E1]
-    return _first_pair_per_code([class_of(c - E(1)).code for c in enumerate_exceptional()])
+    return tuple(class_of(c - E(1)).code for c in enumerate_exceptional())
+
+
+@lru_cache(maxsize=1)
+def _pair_table() -> dict[int, tuple[int, int]]:
+    return _first_pair_per_code(list(_curve_codes()))
 
 
 def represent_as_difference(v: CohClass) -> tuple[DivClass, DivClass]:
@@ -273,23 +281,18 @@ def represent_as_difference(v: CohClass) -> tuple[DivClass, DivClass]:
 
 
 def disjoint_representative(v: CohClass) -> tuple[DivClass, DivClass]:
-    """A pair (E, E') with [E - E'] = v and E.E' = 0.
+    """The first pair (E, E') in census row-major order with [E - E'] = v and E.E' = 0.
 
-    A meeting pair (E.E' = 1) is repaired by swapping E' for sigma(E'), which
-    changes the difference by the coboundary (1 - sigma)E' and is disjoint
-    from E because E.sigma(E') = E.(H - E') = 1 - E.E'.  The trivial class is
-    refused: the resulting algebra would be unramified.
+    It is ``represent_as_difference(v)`` whenever that pair is disjoint; for
+    7 of the 63 nonzero classes the first pair meets, e.g. 101101 -> (E1, C14).
+    Every nonzero class has 24 disjoint ordered pairs.  The trivial class is
+    refused: its algebra would be unramified, and no disjoint pair realises it.
     """
     if v.is_zero():
         raise TrivialClass("the trivial class has no disjoint representative here")
-    e, eprime = represent_as_difference(v)
-    meet = intersect(e, eprime)
-    if meet == 0:
-        return e, eprime
-    names = f"{format_divisor(e)} and {format_divisor(eprime)}"
-    if meet == 1:
-        swapped = sigma(eprime)
-        if classify(swapped) is None or intersect(e, swapped) != 0:
-            raise InternalInconsistency(f"sigma swap failed for {names}")
-        return e, swapped
-    raise InternalInconsistency(f"{names} meet in {meet} points with class {v}")
+    curves, codes, target = enumerate_exceptional(), _curve_codes(), v.code
+    for e, a in zip(curves, codes):
+        for eprime, b in zip(curves, codes):
+            if a ^ b == target and intersect(e, eprime) == 0:
+                return e, eprime
+    raise InternalInconsistency(f"no disjoint pair of curves realises {v}")

@@ -4,9 +4,11 @@ Matrices are lists of rows of Python ints, so nothing here ever overflows or
 rounds.  The workhorse is a column echelon reduction H = M*U with U unimodular,
 which yields integer kernels, column-space bases, and membership/solution tests
 for M*x = b over the integers (``solver`` reduces once, then solves for many
-right-hand sides).  Elementary divisors come from a textbook Smith reduction.
-All inputs in this package are at most 8x8, so no attention is paid to
-asymptotics; correctness is cross-checked against sympy in the test suite.
+right-hand sides).  ``rank_mod_2`` is the rank over F_2, from an XOR basis of
+bit masks; it is all that the group cohomology needs, because that group is
+killed by 2.  All inputs in this package are at most 8x8, so no attention is
+paid to asymptotics; correctness is cross-checked against sympy in the test
+suite.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ def identity(n: int) -> Matrix:
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
-
-
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)]
 
 
 def column_echelon(m: Matrix) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
@@ -134,79 +132,13 @@ def solver(m: Matrix) -> Callable[[Vector], Vector | None]:
     return solve_for
 
 
-def smith_elementary_divisors(m: Matrix) -> list[int]:
-    """The nonzero diagonal of the Smith normal form, each dividing the next."""
-    a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-
-    def submatrix_nonzero(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    divisors: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        pos = submatrix_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        # clear row and column t; restart whenever a remainder shrinks the pivot
-        while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] % pivot != 0:
-                    q = a[i][t] // pivot
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-                    a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] % pivot != 0:
-                    q = a[t][j] // pivot
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for i in range(t + 1, rows):
-                q = a[i][t] // pivot
-                if q:
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-            for j in range(t + 1, cols):
-                q = a[t][j] // pivot
-                if q:
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-            break
-        # enforce divisibility towards the remaining block
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = j
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for i in range(rows):
-                a[i][t] += a[i][offender]
-            continue
-        divisors.append(abs(a[t][t]))
-        t += 1
-    return divisors
+def rank_mod_2(rows: Matrix) -> int:
+    """The rank over F_2 of the rows of an integer matrix."""
+    basis: list[int] = []  # reduced bit masks with distinct leading bits
+    for row in rows:
+        mask = sum((x & 1) << j for j, x in enumerate(row))
+        for b in basis:
+            mask = min(mask, mask ^ b)  # clears b's leading bit, keeps earlier ones clear
+        if mask:
+            basis.append(mask)
+    return len(basis)

@@ -39,7 +39,7 @@ from . import reporting
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
 from .cohom import chi_line, cohom_dims, h0, h1, h2, les_solve
 from .errors import Infeasible, Value
-from .galois import class_of, sigma
+from .galois import sigma
 from .picard import (
     ZERO,
     DivClass,
@@ -72,7 +72,12 @@ PartialTriple = tuple[int | None, int | None, int | None]
 
 
 class OrderModel(Value):
-    """A choice of disjoint (-1)-curve classes (E, E') defining the cyclic order."""
+    """A choice of disjoint (-1)-curve classes (E, E') defining the cyclic order.
+
+    The two checks on the input imply the rest: for disjoint curves the class
+    [E - E'] is nonzero, so the order is ramified, and F = E - E' + H has
+    F.F = 0 and F.H = 2.
+    """
 
     # cached_property stores ramification in __dict__, which is not a field
     __slots__ = ("e", "eprime", "__dict__")
@@ -85,10 +90,6 @@ class OrderModel(Value):
                 raise ValueError(f"{format_divisor(c)} is not a (-1)-curve")
         if intersect(e, eprime) != 0:
             raise ValueError(f"{format_divisor(e)} and {format_divisor(eprime)} are not disjoint")
-        if class_of(self.lclass).is_zero():
-            raise ValueError("the order would be unramified: [E - E'] is trivial")
-        if self.f.selfint != 0 or intersect(self.f, H) != 2:
-            raise ValueError("model classes violate the fibre constraints")
 
     @property
     def lclass(self) -> DivClass:

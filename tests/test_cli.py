@@ -1,6 +1,7 @@
 import collections
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,18 @@ def test_cohom_les_underdetermined(capsys):
 def test_cohom_les_infeasible(capsys):
     assert run(capsys, "cohom", "les", "1,0") == (1, "", "error: no rank assignment for 1, 0\n")
     assert run(capsys, "cohom", "les", "1") == (1, "", "error: no rank assignment for 1\n")
+
+
+@pytest.mark.parametrize("dims, message", [
+    ("", "empty sequence"),
+    ("1,,2", "field 2 of '1,,2' is empty: need a nonnegative integer or ?"),
+    ("x", "field 1 of 'x' is 'x': need a nonnegative integer or ?"),
+    ("1,-1", "field 2 of '1,-1' is '-1': need a nonnegative integer or ?"),
+    ("0, 2.5", "field 2 of '0, 2.5' is '2.5': need a nonnegative integer or ?"),
+    ("??", "field 1 of '??' is '??': need a nonnegative integer or ?"),
+])
+def test_cohom_les_usage_errors_name_the_field(capsys, dims, message):
+    assert run(capsys, "cohom", "les", "--", dims) == (2, "", f"usage error: {message}\n")
 
 
 def test_chern_pairing(capsys):
@@ -394,8 +407,13 @@ def _random_divisor(rng):
 
 
 def _random_les(rng):
-    pieces = ["?", "0", "1", "3", "12", "-1", "", "x", "2.5", " 4 ", "??"]
+    pieces = ["?", "0", "1", "3", "12", "-1", "", "x", "2.5", " 4 ", "??", "+2", "None", " "]
     return ",".join(rng.choice(pieces) for _ in range(rng.randint(1, 7)))
+
+
+_LES_ERROR = re.compile(r"error: no rank assignment for [0-9?, ]+\n"
+                        r"|usage error: (empty sequence"
+                        r"|field \d+ of '.*' is (empty|'.*'): need a nonnegative integer or \?)\n")
 
 
 def _random_argv(rng):
@@ -437,8 +455,11 @@ def test_cli_fuzz_exits_with_documented_codes(capsys):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed options with 2
             code = exc.code
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         codes[code] += 1
+        if argv[1] == "les" and code:
+            # les errors speak the command line's spelling, not Python's
+            assert _LES_ERROR.fullmatch(err), (argv, err)
     # the sample reaches answers, domain errors and usage errors
     assert min(codes[0], codes[1], codes[2]) > 20, codes

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from dp2 import galois, intlinalg
 from dp2.errors import InternalInconsistency, NotACocycle, TrivialClass
@@ -215,11 +217,12 @@ def test_class_of_matches_brute_force(rng):
 
 @pytest.fixture
 def fresh_derivation():
-    galois._cohomology.cache_clear()
-    galois._pair_table.cache_clear()
+    caches = (galois._cohomology, galois._curve_codes, galois._pair_table)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    galois._cohomology.cache_clear()
-    galois._pair_table.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def _e6_repeats_e5(monkeypatch):
@@ -227,12 +230,13 @@ def _e6_repeats_e5(monkeypatch):
     monkeypatch.setattr(galois, "e_class", lambda i: real(5) if i == 6 else real(i))
 
 
-def _h1_has_a_4(monkeypatch):
-    real = intlinalg.smith_elementary_divisors
-    monkeypatch.setattr(intlinalg, "smith_elementary_divisors", lambda m: real(m)[:-1] + [4])
+def _rank_mod_2_drops_one(monkeypatch):
+    # the quotient would read as seven 2s
+    real = intlinalg.rank_mod_2
+    monkeypatch.setattr(intlinalg, "rank_mod_2", lambda rows: real(rows) - 1)
 
 
-@pytest.mark.parametrize("breakage", [_e6_repeats_e5, _h1_has_a_4])
+@pytest.mark.parametrize("breakage", [_e6_repeats_e5, _rank_mod_2_drops_one])
 def test_derivation_checks_that_the_e_i_generate_h1(monkeypatch, fresh_derivation, breakage):
     breakage(monkeypatch)
     with pytest.raises(InternalInconsistency):
@@ -297,13 +301,32 @@ def test_first_pair_is_row_major():
 
 
 def test_disjoint_representative_all_classes():
-    for code in range(1, 64):
-        bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
-        e, eprime = disjoint_representative(bits)
-        assert intersect(e, eprime) == 0
-        assert class_of(e - eprime) == bits
+    # oracle: the first disjoint pair per class over all 56 x 56 ordered pairs, row-major
+    curves = enumerate_exceptional()
+    first = {}
+    for a, b in itertools.product(curves, repeat=2):
+        if intersect(a, b) == 0:
+            first.setdefault(class_of(a - b), (a, b))
+    assert len(first) == 63
+    for bits, pair in first.items():
+        assert disjoint_representative(bits) == pair
+    # 7 classes have a meeting first pair, so their disjoint one comes later
+    assert sum(represent_as_difference(bits) != pair for bits, pair in first.items()) == 7
+    assert [format_divisor(c) for c in disjoint_representative(CohClass.from_bits("101101"))] == [
+        "E1", "C14"]
     with pytest.raises(TrivialClass):
         disjoint_representative(CohClass.zero())
+
+
+def test_h1_matches_sympy_smith_form():
+    # independent route: sympy solves for the image generators' kernel
+    # coordinates and takes the Smith normal form of that matrix over Z
+    kernel = sympy.Matrix([list(k.coeffs) for k in one_plus_sigma_kernel()]).T
+    coords = [list(kernel.solve(sympy.Matrix(img.coeffs))) for img in one_minus_sigma_image()]
+    assert all(c.is_integer for row in coords for c in row)
+    snf = smith_normal_form(sympy.Matrix(coords), domain=sympy.ZZ)
+    diagonal = [abs(int(snf[i, i])) for i in range(min(snf.shape))]
+    assert h1_galois() == [d for d in diagonal if d != 1] == [2] * 6
 
 
 def test_meeting_pair_swap_identity(rng):

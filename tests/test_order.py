@@ -6,7 +6,7 @@ import pytest
 from dp2.chern import ch_line, ch_of, euler_pairing
 from dp2.cohom import cohom_dims
 from dp2.errors import Infeasible
-from dp2.galois import class_of, sigma
+from dp2.galois import class_of, disjoint_representative, sigma
 from dp2.order import (
     OrderModel,
     SplitBundle,
@@ -52,7 +52,8 @@ def test_standard_model():
     assert model.f == F
     assert model.f.selfint == 0
     assert intersect(model.f, H) == 2
-    assert not class_of(model.lclass).is_zero()
+    assert str(class_of(model.lclass)) == "110101"
+    assert disjoint_representative(class_of(model.lclass)) == (model.e, model.eprime)
 
 
 def test_model_rejects_meeting_pair():
@@ -61,15 +62,20 @@ def test_model_rejects_meeting_pair():
 
 
 def test_model_accepts_any_disjoint_nontrivial_pair():
-    built = 0
-    for a, b in itertools.combinations(enumerate_exceptional(), 2):
-        if intersect(a, b) == 0 and not class_of(a - b).is_zero():
-            model = OrderModel(a, b)
-            assert model.f.selfint == 0 and intersect(model.f, H) == 2
-            built += 1
-            if built >= 40:
-                break
-    assert built == 40
+    # OrderModel checks only census membership and disjointness; on all
+    # 56 x 56 ordered census pairs those imply a nonzero class, F.F = 0, F.H = 2
+    curves = enumerate_exceptional()
+    disjoint = 0
+    for a, b in itertools.product(curves, repeat=2):
+        if intersect(a, b) != 0:
+            with pytest.raises(ValueError):
+                OrderModel(a, b)
+            continue
+        disjoint += 1
+        f = OrderModel(a, b).f
+        assert not class_of(a - b).is_zero()
+        assert (f.selfint, intersect(f, H)) == (0, 2)
+    assert disjoint == 1512
 
 
 def test_induced_split():

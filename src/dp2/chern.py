@@ -11,11 +11,11 @@ of ch(x)^dual . ch(y) . td, which works out to
 
     chi(x, y) = r + s + (c . H)/2      for (r, c, s) = dual(x) * y.
 
-The module also carries the rank-2 discriminant 4c2 - c1^2 with its
-Bogomolov-type lower bound for c2, additivity of characters in short exact
-sequences (with the ideal-sheaf correction for a point), and the constraint
-that the first Chern class of a module over a cyclic quaternion order is the
-class of the order's invertible summand plus an integer multiple of H.
+The module also carries the rank-2 discriminant 4c2 - c1^2, its Bogomolov
+lower bound and the least c2 that stability allows, additivity of characters
+in short exact sequences (with the ideal-sheaf correction for a point), and
+the constraint that the first Chern class of a module over a cyclic
+quaternion order is the class of its invertible summand plus a multiple of H.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "euler_pairing",
     "discriminant",
     "bogomolov_min_c2",
-    "MINIMAL_C2",
+    "minimal_c2",
     "chern_of_extension",
     "ch_ideal_point_twist",
     "c1_constraint",
@@ -114,11 +114,19 @@ def bogomolov_min_c2(c1: DivClass) -> int:
     return -((-sq) // 4)  # ceil(sq / 4)
 
 
-# Known minimal second Chern classes of order-line-bundles for the two first
-# Chern classes c1 = L_order + n*H with n = 0, 1.  The n = 1 value is sharper
-# than the Bogomolov bound above (which only gives >= 0); it is recorded from
-# the classification of these modules, not re-derived here.
-MINIMAL_C2 = {0: 0, 1: 1}
+def minimal_c2(c1: DivClass) -> int:
+    """Least c2 >= bogomolov_min_c2(c1) with chi(x, x) <= 2 for x = ch_of(2, c1, c2).
+
+    A stable module M over the order is simple, and ext^2_A(M, M) = 0 since
+    the canonical bimodule is A(-H) (ORD.CANON), so chi_A(M, M) <= 1; for the
+    restriction x of M to Y, chi_A(M, M) = chi(x, x)/2.  That halving is
+    checked only on induced modules.  That a stable module exists at this c2
+    is the paper's classification.
+    """
+    c2 = bogomolov_min_c2(c1)
+    while euler_pairing(ch_of(2, c1, c2), ch_of(2, c1, c2)) > 2:  # drops by 4 per step
+        c2 += 1
+    return c2
 
 
 def chern_of_extension(sub: ChernChar, quot: ChernChar) -> ChernChar:

@@ -424,7 +424,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    # argparse 3.13.0 rejects "--" before a group or command name, 3.13.13 skips it
+    group = next((a for a in argv if a in _COMMANDS), None)
+    if group and "--" in argv[:argv.index(group) + (1 if None in _COMMANDS[group][1] else 2)]:
+        parser.error("'--' must come after the command")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (NotACocycle, TrivialClass, Infeasible) as exc:

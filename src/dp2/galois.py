@@ -16,25 +16,23 @@ With G of order two acting through sigma, the first group cohomology is
 
     H^1(G, Pic Y) = ker(1 + sigma) / im(1 - sigma) = (Z/2)^6,
 
-computed here mechanically, not copied from the literature.  An integer
-kernel basis gives ker(1 + sigma) = Z^7, and sigma = -1 on it, so
-(1 - sigma)k = 2k puts 2 ker(1 + sigma) inside the image.  The quotient is
-therefore F_2^7 modulo the image generators' kernel coordinates mod 2: six
-copies of Z/2 when those coordinates have rank 1 over F_2.  Since
-(1 + sigma)D = (D.H) H, a class D is a cocycle exactly when D.H = 0, and that
-one product is the cocycle test.  The class of a cocycle k in the basis
-e_i = Ei - Ei+1 is read off by one exact integer solve of
-k = sum x_i e_i + (an element of im(1 - sigma)): the x_i mod 2 are its bits.
-That reading is well defined only because H^1 = (Z/2)^6 and the e_i generate
-it, and the derivation checks both once per process.  It solves only for the
-seven vectors of a kernel basis: the class is linear and ker(1 + sigma) is
-saturated, so any other cocycle's class is its kernel coordinates (an integer
-left inverse of the basis applied to it) times those seven, mod 2.  Reduced
-mod 2 that linear map is a 6-bit parity code per coordinate of (L, E1..E7),
-and the class of a cocycle is the XOR of the codes of its odd coordinates.
-The module also houses the cocycle tests and the representation of every
-class as a difference of two exceptional curves, and of every nonzero class
-as a difference of two disjoint ones.
+computed here mechanically, not copied from the literature.  Since
+(1 + sigma)D = (D.H) H, a class D is a cocycle exactly when D.H = 0.  An
+integer kernel basis gives ker(1 + sigma) = Z^7, which is saturated, so the
+basis has an integer left inverse P and a cocycle D has kernel coordinates
+P.D.  sigma = -1 on the kernel, so (1 - sigma)k = 2k puts 2 ker(1 + sigma)
+inside the image, and the quotient is F_2^7 modulo the image generators'
+kernel coordinates P.img mod 2: six copies of Z/2 when those have rank 1
+over F_2.  The class of a cocycle k in the basis e_i = Ei - Ei+1 is read off
+by one exact integer solve of k = sum x_i e_i + (an element of im(1 - sigma)):
+the x_i mod 2 are its bits.  That reading is well defined only because
+H^1 = (Z/2)^6 and the e_i generate it, and the derivation checks both once
+per process.  It solves only for the kernel basis: the class is linear, so a
+cocycle D has class P.D times those seven, mod 2, which is a 6-bit parity
+code per coordinate of (L, E1..E7) XORed over the odd coordinates of D.
+The module also houses the cocycle tests and one search over the 56 x 56
+ordered curve pairs (E, E') in census row-major order: its first pair with
+[E - E'] = v represents v, and its first disjoint one represents a nonzero v.
 """
 
 from __future__ import annotations
@@ -164,14 +162,19 @@ def _cohomology():
     if len(kernel) != 7:
         raise InternalInconsistency(f"ker(1+sigma) has rank {len(kernel)}, expected 7")
 
-    # 2 ker lies in im, so ker/im = F_2^7 modulo the image in kernel coordinates mod 2
-    in_kernel_coords = intlinalg.solver(_columns(kernel))
+    # ker(1 + sigma) is saturated, so its basis has an integer left inverse P;
+    # a cocycle d has kernel coordinates P.d, and class_of is linear
+    left_inverse = intlinalg.solver([list(k.coeffs) for k in kernel])
+    p_rows = [left_inverse([int(i == j) for i in range(7)]) for j in range(7)]
+    if None in p_rows:
+        raise InternalInconsistency("ker(1+sigma) has no integer left inverse")
+
+    # 2 ker lies in im, so ker/im = F_2^7 modulo P.img mod 2; img.H = 0 puts img in ker
     coords = []
     for img in image:
-        c = in_kernel_coords(list(img.coeffs))
-        if c is None:
+        if img.dot(H) != 0:
             raise InternalInconsistency(f"{img!r} is not inside ker(1+sigma)")
-        coords.append(c)
+        coords.append([sum(p * c for p, c in zip(row, img.coeffs)) for row in p_rows])
     divisors = [2] * (len(kernel) - intlinalg.rank_mod_2(coords))
 
     # startup self-check: the bits of class_of are well defined only when
@@ -188,15 +191,6 @@ def _cohomology():
             raise InternalInconsistency(f"e_1..e_6 and im(1-sigma) do not span {k!r}")
         kernel_classes.append(x[:6])
 
-    # ker(1 + sigma) is saturated, so its basis has an integer left inverse P;
-    # a cocycle d has kernel coordinates P.d, and class_of is linear
-    left_inverse = intlinalg.solver([list(k.coeffs) for k in kernel])
-    p_rows = []
-    for j in range(len(kernel)):
-        row = left_inverse([int(i == j) for i in range(len(kernel))])
-        if row is None:
-            raise InternalInconsistency("ker(1+sigma) has no integer left inverse")
-        p_rows.append(row)
     codes = tuple(
         sum((sum(x[i] * p[col] for x, p in zip(kernel_classes, p_rows)) % 2) << i
             for i in range(6))
@@ -246,15 +240,6 @@ def class_of(d: DivClass) -> CohClass:
 # ---------------------------------------------------------------------------
 
 
-def _first_pair_per_code(codes: list[int]) -> dict[int, tuple[int, int]]:
-    """First (i, j) in row-major order with codes[i] ^ codes[j] equal to each value."""
-    table: dict[int, tuple[int, int]] = {}
-    for i, a in enumerate(codes):
-        for j, b in enumerate(codes):
-            table.setdefault(a ^ b, (i, j))
-    return table
-
-
 @lru_cache(maxsize=1)
 def _curve_codes() -> tuple[int, ...]:
     """The code of [C - E1] for each curve C in census order."""
@@ -262,22 +247,24 @@ def _curve_codes() -> tuple[int, ...]:
     return tuple(class_of(c - E(1)).code for c in enumerate_exceptional())
 
 
-@lru_cache(maxsize=1)
-def _pair_table() -> dict[int, tuple[int, int]]:
-    return _first_pair_per_code(list(_curve_codes()))
+def _pairs_realising(v: CohClass):
+    """Yield the pairs of curve classes (E, E') with [E - E'] = v, in census row-major order."""
+    curves, codes, target = enumerate_exceptional(), _curve_codes(), v.code
+    for e, a in zip(curves, codes):
+        for eprime, b in zip(curves, codes):
+            if a ^ b == target:
+                yield e, eprime
 
 
 def represent_as_difference(v: CohClass) -> tuple[DivClass, DivClass]:
-    """The first pair of curve classes (E, E') in census order with [E - E'] = v.
+    """The first pair of curve classes (E, E') in census row-major order with [E - E'] = v.
 
-    A curve is its class; ``picard.format_divisor`` gives its name E1..D7.
+    The zero class gives (E1, E1).  A curve is its class;
+    ``picard.format_divisor`` gives its name E1..D7.
     """
-    table = _pair_table()
-    if v.code not in table:
-        raise InternalInconsistency(f"no exceptional difference realises {v}")
-    i, j = table[v.code]
-    curves = enumerate_exceptional()
-    return curves[i], curves[j]
+    for pair in _pairs_realising(v):
+        return pair
+    raise InternalInconsistency(f"no exceptional difference realises {v}")
 
 
 def disjoint_representative(v: CohClass) -> tuple[DivClass, DivClass]:
@@ -290,9 +277,7 @@ def disjoint_representative(v: CohClass) -> tuple[DivClass, DivClass]:
     """
     if v.is_zero():
         raise TrivialClass("the trivial class has no disjoint representative here")
-    curves, codes, target = enumerate_exceptional(), _curve_codes(), v.code
-    for e, a in zip(curves, codes):
-        for eprime, b in zip(curves, codes):
-            if a ^ b == target and intersect(e, eprime) == 0:
-                return e, eprime
+    for e, eprime in _pairs_realising(v):
+        if intersect(e, eprime) == 0:
+            return e, eprime
     raise InternalInconsistency(f"no disjoint pair of curves realises {v}")

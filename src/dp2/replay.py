@@ -201,9 +201,9 @@ def _ck_extension(model: order.OrderModel) -> dict[str, Any]:
 def _minimal_c2_table(model: order.OrderModel) -> dict[str, int]:
     return {
         "n0_bogomolov_bound": chern.bogomolov_min_c2(model.lclass),
-        "n0_minimum": chern.MINIMAL_C2[0],
+        "n0_minimum": chern.minimal_c2(model.lclass),
         "n1_bogomolov_bound": chern.bogomolov_min_c2(model.f),
-        "n1_minimum": chern.MINIMAL_C2[1],
+        "n1_minimum": chern.minimal_c2(model.f),
     }
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from dp2.chern import (
     CH_O,
-    MINIMAL_C2,
     ChernChar,
     bogomolov_min_c2,
     c1_constraint,
@@ -15,10 +14,12 @@ from dp2.chern import (
     discriminant,
     dual,
     euler_pairing,
+    minimal_c2,
     mult,
 )
 from dp2.cohom import chi_line
-from dp2.order import standard_model
+from dp2.galois import CohClass, disjoint_representative
+from dp2.order import OrderModel, ext_a_induced, induced_split, standard_model
 from dp2.picard import ZERO, DivClass, E, F, H, L, conic_through, intersect, line_through
 
 
@@ -110,9 +111,26 @@ def test_discriminant_and_bound():
     assert bogomolov_min_c2(standard_model().lclass) == 0  # c1^2 = -2
     assert bogomolov_min_c2(F) == 0
     assert bogomolov_min_c2(H) == 1  # H^2 = 2
-    assert MINIMAL_C2 == {0: 0, 1: 1}
+    # derived: chi(x, x) = 4 - (4 c2 - c1^2) <= 2 first holds at c2 = 0 for
+    # c1^2 = -2 and at c2 = 1 for c1^2 = 0, sharper than the bound for F
+    assert minimal_c2(standard_model().lclass) == 0
+    assert minimal_c2(F) == 1
+    assert euler_pairing(ch_of(2, F, 0), ch_of(2, F, 0)) == 4
     with pytest.raises(ValueError):
         discriminant(3, F, 1)
+
+
+def test_chi_a_is_half_chi_y_on_induced_modules():
+    # the halving behind minimal_c2, by a route through h0 peeling, not chern:
+    # by adjunction chi_A(A x O(g), A x O(g)) is the alternating sum of
+    # ext_a_induced, for g = H and the six ramification generators, on every order
+    for code in range(1, 64):
+        model = OrderModel(*disjoint_representative(
+            CohClass(tuple((code >> i) & 1 for i in range(6)))))
+        for g in (H, *(generator for generator, _ in model.ramification)):
+            split = induced_split(g, model)
+            ext0, ext1, ext2 = ext_a_induced(g, split)
+            assert 2 * (ext0 - ext1 + ext2) == euler_pairing(split.ch(), split.ch()), (code, g)
 
 
 def test_extension_characters():

@@ -193,13 +193,13 @@ def test_cocycle_test_agrees_with_applying_one_plus_sigma(rng):
 def test_class_of_matches_brute_force(rng):
     # independent oracle: subtract each subset of the e_i and test membership
     # in im(1 - sigma) by exact solving; the inputs are 25 random cocycles and
-    # the 64 differences the pair table picked, each checked against its code
+    # the 64 differences represent_as_difference picked, each checked against its code
     kernel = one_plus_sigma_kernel()
     es = [e_class(i) for i in range(1, 7)]
-    curves = enumerate_exceptional()
     cocycles = [(None, sum((rng.randint(-2, 2) * k for k in kernel), ZERO)) for _ in range(25)]
-    cocycles += [(code, curves[i] - curves[j])
-                 for code, (i, j) in galois._pair_table().items()]
+    for code in range(64):
+        e, eprime = represent_as_difference(CohClass(tuple((code >> i) & 1 for i in range(6))))
+        cocycles.append((code, e - eprime))
     assert len(cocycles) == 25 + 64
     for code, d in cocycles:
         hits = []
@@ -217,7 +217,7 @@ def test_class_of_matches_brute_force(rng):
 
 @pytest.fixture
 def fresh_derivation():
-    caches = (galois._cohomology, galois._curve_codes, galois._pair_table)
+    caches = (galois._cohomology, galois._curve_codes)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -279,25 +279,6 @@ def test_represent_first_hit_matches_exhaustive_scan():
     assert len(first) == 64
     for bits, pair in first.items():
         assert represent_as_difference(CohClass(bits)) == pair
-
-
-def test_pair_table_equals_brute_force_scan():
-    # oracle: class_of of each of the 3136 differences, first pair row-major
-    curves = enumerate_exceptional()
-    first = {}
-    for (i, a), (j, b) in itertools.product(enumerate(curves), repeat=2):
-        first.setdefault(class_of(a - b).code, (i, j))
-    assert galois._pair_table() == first
-
-
-def test_pair_codes_cover_all_64():
-    assert set(galois._pair_table()) == set(range(64))
-
-
-def test_first_pair_is_row_major():
-    # pair codes 5^3 = 6, 5^6 = 3, 3^6 = 5; (0, 1) comes before (1, 0)
-    table = galois._first_pair_per_code([5, 3, 6])
-    assert table == {0: (0, 0), 6: (0, 1), 3: (0, 2), 5: (1, 2)}
 
 
 def test_disjoint_representative_all_classes():

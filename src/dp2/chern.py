@@ -101,10 +101,8 @@ def euler_pairing(x: ChernChar, y: ChernChar) -> int:
     return doubled // 2
 
 
-def discriminant(rank: int, c1: DivClass, c2: int) -> int:
-    """4 c2 - c1^2 for rank-2 sheaves."""
-    if rank != 2:
-        raise ValueError("the discriminant bound is stated for rank 2")
+def discriminant(c1: DivClass, c2: int) -> int:
+    """4 c2 - c1^2 of a rank-2 sheaf with Chern classes (c1, c2)."""
     return 4 * c2 - c1.selfint
 
 

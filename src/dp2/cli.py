@@ -64,10 +64,20 @@ def _parse_chern_triple(text: str) -> chern.ChernChar:
     parts = text.split(",")
     if len(parts) < 3:
         raise ValueError(f"need rank,c1,c2 in {text!r}")
-    rank = int(parts[0])
-    c2 = int(parts[-1])
+    rank = _integer_field("rank", parts[0], text)
+    c2 = _integer_field("c2", parts[-1], text)
     c1 = parse_divisor(",".join(parts[1:-1]))
     return chern.ch_of(rank, c1, c2)
+
+
+def _integer_field(name: str, piece: str, text: str) -> int:
+    """The integer in one field of ``text``; a refusal names the field as the user typed it."""
+    piece = piece.strip()
+    try:
+        return int(piece)
+    except ValueError:
+        shown = repr(piece) if piece else "empty"
+        raise ValueError(f"{name} of {text!r} is {shown}: need an integer") from None
 
 
 def _parse_les(text: str) -> list[int | None]:

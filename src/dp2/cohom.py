@@ -58,10 +58,6 @@ class CohomDims(Value):
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
 
-    @property
-    def chi(self) -> int:
-        return self.h0 - self.h1 + self.h2
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
 

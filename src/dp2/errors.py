@@ -1,12 +1,14 @@
 """Exception types shared across the package, and the base of its immutable value types.
 
 ``Value`` holds the contract every value type keeps: its fields are the names
-in the subclass's ``__slots__`` (an ``"__dict__"`` entry, which holds caches
-only, is not a field); it compares equal only to an instance of the same class
+in the subclass's ``__slots__``, and it holds nothing else, so no instance
+carries a cache; it compares equal only to an instance of the same class
 with the same field tuple, hashes as that tuple, prints as
 ``Name(field=value, ...)``, pickles and copies through its constructor, and
-refuses assignment and deletion.  Each subclass writes its own ``__init__``,
-which checks its fields and stores them with ``object.__setattr__``.
+refuses assignment and deletion.  Each subclass writes its one constructor,
+``__init__``, which checks its fields and stores them with
+``object.__setattr__``; what follows from the fields is computed from
+them, never stored beside them.
 """
 
 from operator import attrgetter
@@ -49,7 +51,7 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = tuple(name for name in cls.__slots__ if name != "__dict__")
+        names = tuple(cls.__slots__)
         get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._field_names = names

@@ -30,6 +30,8 @@ H^1 = (Z/2)^6 and the e_i generate it, and the derivation checks both once
 per process.  It solves only for the kernel basis: the class is linear, so a
 cocycle D has class P.D times those seven, mod 2, which is a 6-bit parity
 code per coordinate of (L, E1..E7) XORed over the odd coordinates of D.
+A ``CohClass`` is that code and nothing else: bit i is the coordinate on
+e_{i+1}, and it prints as the six bits e1 first, e.g. 101000 for e1 + e3.
 The module also houses the cocycle tests and one search over the 56 x 56
 ordered curve pairs (E, E') in census row-major order: its first pair with
 [E - E'] = v represents v, and its first disjoint one represents a nonzero v.
@@ -97,35 +99,28 @@ def e_class(i: int) -> DivClass:
 
 
 class CohClass(Value):
-    """An element of H^1(G, Pic Y) in coordinates (e1, ..., e6) over F_2."""
+    """An element of H^1(G, Pic Y) as a 6-bit code: bit i is its coordinate on e_{i+1}."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("code",)
 
-    def __init__(self, bits: tuple[int, int, int, int, int, int]):
-        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"need six bits, got {bits!r}")
-        object.__setattr__(self, "bits", bits)
-
-    @staticmethod
-    def zero() -> "CohClass":
-        return CohClass((0, 0, 0, 0, 0, 0))
+    def __init__(self, code: int):
+        if not isinstance(code, int) or not 0 <= code < 64:
+            raise ValueError(f"need a 6-bit code, got {code!r}")
+        object.__setattr__(self, "code", code)
 
     @staticmethod
     def from_bits(bits) -> "CohClass":
-        return CohClass(tuple(int(b) & 1 for b in bits))
-
-    def __xor__(self, other: "CohClass") -> "CohClass":
-        return CohClass(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        """The class with coordinates (e1, ..., e6) read from six 0/1 entries, e.g. "101000"."""
+        bits = [int(b) for b in bits]
+        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"need six bits, got {tuple(bits)!r}")
+        return CohClass(sum(b << i for i, b in enumerate(bits)))
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
-
-    @property
-    def code(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
+        return self.code == 0
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(str((self.code >> i) & 1) for i in range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +227,7 @@ def class_of(d: DivClass) -> CohClass:
     for c, coordinate_code in zip(d.coeffs, _cohomology()[3]):
         if c & 1:
             code ^= coordinate_code
-    return CohClass(tuple((code >> i) & 1 for i in range(6)))
+    return CohClass(code)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The order is A = O_Y + O_Y(E - E')_sigma for a pair of disjoint exceptional
 curves; pushing forward along the double cover gives a maximal quaternion
 order on the plane ramified on the branch quartic.  An ``OrderModel`` holds
 the gauge (E, E') as two classes of the picard census, which it checks, and
-derives everything else from them.  Every function that depends on the gauge
-takes the model as an argument; none falls back to a default.
+nothing else; everything else is derived from them.  Every function that
+depends on the gauge, ``ramification(model)`` included, takes the model as
+an argument; none falls back to a default.
 ``standard_model()`` is the gauge (E1, C12).  Writing L for the
 class E - E' of the invertible summand, the three recurring first Chern
 classes are
@@ -33,9 +34,8 @@ right-orthogonal to it.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from . import reporting
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
 from .cohom import chi_line, cohom_dims, h0, h1, h2, les_solve
 from .errors import Infeasible, Value
@@ -57,6 +57,7 @@ __all__ = [
     "OrderModel",
     "SplitBundle",
     "standard_model",
+    "ramification",
     "induced_split",
     "ext_y_split",
     "ext_a_induced",
@@ -79,8 +80,7 @@ class OrderModel(Value):
     F.F = 0 and F.H = 2.
     """
 
-    # cached_property stores ramification in __dict__, which is not a field
-    __slots__ = ("e", "eprime", "__dict__")
+    __slots__ = ("e", "eprime")
 
     def __init__(self, e: DivClass, eprime: DivClass):
         object.__setattr__(self, "e", e)
@@ -113,27 +113,6 @@ class OrderModel(Value):
         """ch of the moduli objects: rank 2, c1 = F, c2 = 1."""
         return ch_of(2, self.f, 1)
 
-    @cached_property
-    def ramification(self) -> tuple[tuple[DivClass, SplitBundle], ...]:
-        """The six (generator D, split restriction of A x O(D)) pairs over the branch points.
-
-        The splits are the reducible fibres A + B = F of the conic bundle |F|.
-        A (-1)-curve C is a fibre component exactly when C.F = 0, because
-        (F - C)^2 = -1 - 2 F.C; its partner F - C is then a (-1)-curve too.
-        Entry 1 is (E, E + sigma(E')).  Each other fibre enters as
-        (G, (F - G) + G) for its component G that comes first in census
-        order, and these five are sorted by G.
-        """
-        f = self.f
-        e, partner = self.e, self.sigma_eprime
-        entries = [(e, SplitBundle.of(e, partner))]
-        seen = {e, partner}
-        for g in enumerate_exceptional():
-            if g not in seen and intersect(g, f) == 0:
-                seen.add(f - g)
-                entries.append((g, SplitBundle.of(f - g, g)))
-        return tuple(entries)
-
 
 @lru_cache(maxsize=1)
 def standard_model() -> OrderModel:
@@ -148,10 +127,6 @@ class SplitBundle(Value):
 
     def __init__(self, summands: tuple[DivClass, ...]):
         object.__setattr__(self, "summands", summands)
-
-    @staticmethod
-    def of(*summands: DivClass) -> "SplitBundle":
-        return SplitBundle(tuple(summands))
 
     @property
     def rank(self) -> int:
@@ -179,9 +154,33 @@ class SplitBundle(Value):
         return " + ".join(f"O({format_divisor(s)})" for s in self.summands)
 
 
+@lru_cache(maxsize=1)
+def ramification(model: OrderModel) -> tuple[tuple[DivClass, SplitBundle], ...]:
+    """The six (generator D, split restriction of A x O(D)) pairs over the branch points.
+
+    The splits are the reducible fibres A + B = F of the conic bundle |F|.
+    A (-1)-curve C is a fibre component exactly when C.F = 0, because
+    (F - C)^2 = -1 - 2 F.C; its partner F - C is then a (-1)-curve too.
+    Entry 1 is (E, E + sigma(E')).  Each other fibre enters as
+    (G, (F - G) + G) for its component G that comes first in census
+    order, and these five are sorted by G.  The answer for the last model
+    asked is cached here, since the model, a value, holds no cache: a full
+    replay reads it eight times.
+    """
+    f = model.f
+    e, partner = model.e, model.sigma_eprime
+    entries = [(e, SplitBundle((e, partner)))]
+    seen = {e, partner}
+    for g in enumerate_exceptional():
+        if g not in seen and intersect(g, f) == 0:
+            seen.add(f - g)
+            entries.append((g, SplitBundle((f - g, g))))
+    return tuple(entries)
+
+
 def induced_split(d: DivClass, model: OrderModel) -> SplitBundle:
     """Restriction to Y of the induced module A x O(D): O(D) + O(lclass + sigma D)."""
-    return SplitBundle.of(d, model.lclass + sigma(d))
+    return SplitBundle((d, model.lclass + sigma(d)))
 
 
 def ext_y_split(src: SplitBundle, tgt: SplitBundle) -> Triple:
@@ -261,7 +260,7 @@ def replay_exceptional(model: OrderModel) -> list[ClaimReport]:
     lclass = model.lclass
     dims = cohom_dims(lclass)
     reports = []
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORD.EXC.HL",
         "the invertible summand O(E-E') has no cohomology",
         "exceptionality chain for the H-twist of the order",
@@ -269,14 +268,14 @@ def replay_exceptional(model: OrderModel) -> list[ClaimReport]:
         {"h0": dims.h0, "h1": dims.h1, "h2": dims.h2, "chi": chi_line(lclass)},
     ))
     triple = ext_a_induced(H, induced_split(H, model))
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORD.EXC",
         "self-Ext of A x O(H): one-dimensional in degree 0 only",
         "exceptionality of the H-twist of the order",
         [1, 0, 0],
         list(triple),
     ))
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORD.CANON",
         "twisting ch(A x O(H)) by the canonical bimodule returns ch(A)",
         "canonical bimodule of the order is its (-H)-twist",
@@ -299,7 +298,7 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
     reports = []
 
     diff0 = f - twisted
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORTH.I0",
         "degree 0: c1(E_t) - c1(A x O(H)) = -H is not effective, so Hom = 0",
         "orthogonality chain, degree-0 determinant comparison",
@@ -311,7 +310,7 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
     ))
 
     diff2 = model.lclass - f
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORTH.I2",
         "degree 2 via the canonical twist: c1(A) - c1(E_t) = -H, so Hom(E_t, A) = 0",
         "orthogonality chain, degree-2 step through the canonical bimodule",
@@ -322,14 +321,14 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
         },
     ))
 
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORTH.H1MH",
         "Ext^1(O(H), O) = h1(-H) vanishes, with chi(-H) = 1",
         "orthogonality chain, first cohomology input",
         {"h1": 0, "chi": 1},
         {"h1": h1(-H), "chi": chi_line(-H)},
     ))
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORTH.EXT2HO",
         "Ext^2(O(H), O) = h2(-H) is one-dimensional (dual of the constants)",
         "orthogonality chain, second cohomology input",
@@ -338,7 +337,7 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
     ))
 
     l53 = les_solve([cohom_dims(f - H).h0, 1, None, h1(f - H)])
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "L53",
         "Ext^1(O(H), I_p(F)) is one-dimensional, squeezed through the point",
         "connecting Ext through the ideal sheaf of the point",
@@ -347,7 +346,7 @@ def replay_orthogonality(model: OrderModel) -> list[ClaimReport]:
     ))
 
     chain = les_solve([h1(-H), None, l53.entry(2), h2(-H), 0, None])
-    reports.append(reporting.report(
+    reports.append(ClaimReport(
         "ORTH.I1",
         "degree 1: the six-term squeeze forces Ext^1(O(H), E_t) = 0",
         "orthogonality chain, degree-1 exact-sequence squeeze",

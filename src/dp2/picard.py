@@ -74,10 +74,6 @@ class DivClass(Value):
     def __hash__(self):
         return hash((self.coeffs,))
 
-    @staticmethod
-    def of(*coeffs: int) -> "DivClass":
-        return DivClass(tuple(coeffs))
-
     def __add__(self, other: "DivClass") -> "DivClass":
         return DivClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -125,8 +121,8 @@ class DivClass(Value):
         return f"DivClass{self.coeffs}"
 
 
-ZERO = DivClass.of(0, 0, 0, 0, 0, 0, 0, 0)
-L = DivClass.of(1, 0, 0, 0, 0, 0, 0, 0)
+ZERO = DivClass((0, 0, 0, 0, 0, 0, 0, 0))
+L = DivClass((1, 0, 0, 0, 0, 0, 0, 0))
 
 
 def _curve_class(degree: int, fill: int, value: int, *points: int) -> DivClass:
@@ -166,7 +162,7 @@ def cubic_with_node(i: int) -> DivClass:
 
 def canonical_class() -> DivClass:
     """K = -3L + E1 + ... + E7; satisfies K.K = 2 and K.E = -1 for every (-1)-curve E."""
-    return DivClass.of(-3, 1, 1, 1, 1, 1, 1, 1)
+    return DivClass((-3, 1, 1, 1, 1, 1, 1, 1))
 
 
 K = canonical_class()

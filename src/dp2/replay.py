@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import Any, Callable
 
-from . import chern, cohom, galois, intlinalg, order, picard, reporting
+from . import chern, cohom, galois, intlinalg, order, picard
 from .errors import UnknownClaim
 from .galois import CohClass, class_of, is_coboundary, sigma
 from .picard import (
@@ -58,8 +58,8 @@ Claim = tuple[str, Callable[[], ClaimReport]]
 def _claim(claim_id: str, description: str, paper_ref: str, expected: Any,
            compute: Callable[[], Any], known_discrepancy: bool = False) -> Claim:
     def produce() -> ClaimReport:
-        return reporting.report(claim_id, description, paper_ref, expected,
-                                compute(), known_discrepancy)
+        return ClaimReport(claim_id, description, paper_ref, expected, compute(),
+                           known_discrepancy)
 
     return claim_id, produce
 
@@ -125,7 +125,7 @@ def _all_differences_are_cocycles() -> bool:
 
 def _all_63_represented() -> bool:
     for code in range(64):
-        bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
+        bits = CohClass(code)
         e, eprime = galois.represent_as_difference(bits)
         if class_of(e - eprime) != bits:
             return False
@@ -133,7 +133,7 @@ def _all_63_represented() -> bool:
 
 
 def _e1e3_pair_payload() -> dict[str, Any]:
-    bits = CohClass((1, 0, 1, 0, 0, 0))
+    bits = CohClass.from_bits("101000")
     e, eprime = galois.represent_as_difference(bits)
     # a difference of two curves is a cocycle, so class_of is asked only then
     exceptional = all(picard.classify(c) is not None for c in (e, eprime))
@@ -143,7 +143,7 @@ def _e1e3_pair_payload() -> dict[str, Any]:
 
 def _all_63_disjoint() -> bool:
     for code in range(1, 64):
-        bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
+        bits = CohClass(code)
         e, eprime = galois.disjoint_representative(bits)
         if intersect(e, eprime) != 0 or class_of(e - eprime) != bits:
             return False
@@ -225,7 +225,7 @@ def _ramification_payload(model: order.OrderModel) -> dict[str, Any]:
     slopes_one = True
     totals_ok = True
     induced_match = True
-    for generator, split in model.ramification:
+    for generator, split in order.ramification(model):
         names.append([picard.format_divisor(s) for s in split.summands])
         slopes_one &= split.slopes == (1, 1)
         totals_ok &= (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
@@ -236,14 +236,15 @@ def _ramification_payload(model: order.OrderModel) -> dict[str, Any]:
 
 
 def _case_iv_triple(model: order.OrderModel, i: int, j: int) -> list[int]:
-    src = model.ramification[i - 1][0]
-    tgt = order.induced_split(model.ramification[j - 1][0], model)
+    ramification = order.ramification(model)
+    src = ramification[i - 1][0]
+    tgt = order.induced_split(ramification[j - 1][0], model)
     return list(order.ext_a_induced(src, tgt))
 
 
 def _ext_y_between(model: order.OrderModel, i: int, j: int) -> list[int]:
-    return list(order.ext_y_split(model.ramification[i - 1][1],
-                                  model.ramification[j - 1][1]))
+    ramification = order.ramification(model)
+    return list(order.ext_y_split(ramification[i - 1][1], ramification[j - 1][1]))
 
 
 def _exta2_payload(model: order.OrderModel) -> dict[str, Any]:
@@ -516,7 +517,7 @@ def _registry() -> list[Claim]:
                 "n1_bogomolov_bound": 0, "n1_minimum": 1},
                lambda: _minimal_c2_table(model())),
         _claim("DISC.DELTA", "the discriminant of (rank 2, c1 = F, c2 = 1) is 4",
-               "derived", 4, lambda: chern.discriminant(2, model().f, 1)),
+               "derived", 4, lambda: chern.discriminant(model().f, 1)),
         _claim("C1.N0", "c1 = E - E' satisfies the determinant constraint with n = 0",
                "allowed first Chern classes of order line bundles",
                0, lambda: chern.c1_constraint(model().lclass, model().lclass)),

@@ -8,20 +8,22 @@ from .errors import Value
 
 
 class ClaimReport(Value):
-    """One verified statement: what was expected, what came out, and whether they agree."""
+    """One verified statement: what was expected and what came out; it passes when they agree."""
 
-    __slots__ = ("id", "description", "expected", "computed", "passed", "paper_ref",
-                 "known_discrepancy")
+    __slots__ = ("id", "description", "paper_ref", "expected", "computed", "known_discrepancy")
 
-    def __init__(self, id: str, description: str, expected: Any, computed: Any, passed: bool,
-                 paper_ref: str, known_discrepancy: bool = False):
+    def __init__(self, id: str, description: str, paper_ref: str, expected: Any,
+                 computed: Any, known_discrepancy: bool = False):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "description", description)
+        object.__setattr__(self, "paper_ref", paper_ref)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "paper_ref", paper_ref)
         object.__setattr__(self, "known_discrepancy", known_discrepancy)
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.computed
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -49,20 +51,6 @@ def _jsonable(value: Any):
     if isinstance(value, tuple):
         return list(value)
     return str(value)
-
-
-def report(claim_id: str, description: str, paper_ref: str, expected: Any,
-           computed: Any, known_discrepancy: bool = False) -> ClaimReport:
-    """Build a report, comparing expected and computed for the pass flag."""
-    return ClaimReport(
-        id=claim_id,
-        description=description,
-        expected=expected,
-        computed=computed,
-        passed=expected == computed,
-        paper_ref=paper_ref,
-        known_discrepancy=known_discrepancy,
-    )
 
 
 def failures(reports: list[ClaimReport]) -> list[ClaimReport]:

@@ -94,15 +94,15 @@ def test_criterion_4_difference_representation():
     galois._curve_codes.cache_clear()  # time the codes and all 126 searches
     start = time.perf_counter()
     for code in range(1, 64):
-        bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
+        bits = CohClass(code)
         e, eprime = galois.represent_as_difference(bits)
         assert class_of(e - eprime) == bits
         de, deprime = galois.disjoint_representative(bits)
         assert intersect(de, deprime) == 0
         assert class_of(de - deprime) == bits
     elapsed = time.perf_counter() - start
-    assert class_of(conic_through(6, 7) - E(5)).bits == (1, 0, 1, 0, 0, 0)
-    assert class_of(conic_through(6, 7) - E(6)).bits == (1, 0, 1, 0, 1, 0)
+    assert str(class_of(conic_through(6, 7) - E(5))) == "101000"
+    assert str(class_of(conic_through(6, 7) - E(6))) == "101010"
     assert elapsed < 5.0
     _report(4, f"all 63 classes realized with disjoint representatives; both "
                f"worked chains verify; {elapsed:.3f}s")
@@ -181,7 +181,7 @@ def test_criterion_8_order_layer():
                                     "ORTH.EXT2HO", "L53", "ORTH.I1"]
     assert all(r.passed for r in orth)
 
-    ramification = model.ramification
+    ramification = order.ramification(model)
     pairs = [(1, 2), (1, 3), (2, 3)]
     for i, j in pairs:
         triple = order.ext_a_induced(ramification[i - 1][0],

@@ -141,6 +141,20 @@ def test_chern_pairing(capsys):
     assert payload["lhs"]["ch2_times_2"] == -2
 
 
+# rank and c2 errors name the field as typed, not Python's int() text
+@pytest.mark.parametrize("triple, message", [
+    ("x,H,0", "rank of 'x,H,0' is 'x': need an integer"),
+    ("1,H,2.5", "c2 of '1,H,2.5' is '2.5': need an integer"),
+    ("1,H,", "c2 of '1,H,' is empty: need an integer"),
+    (" ,H,0", "rank of ' ,H,0' is empty: need an integer"),
+    ("1,H", "need rank,c1,c2 in '1,H'"),
+    ("-1,H,0", "rank must be nonnegative"),
+])
+def test_chern_pairing_usage_errors_name_the_field(capsys, triple, message):
+    assert run(capsys, "chern", "pairing", f"--lhs={triple}", "--rhs", "1,H,0") == (
+        2, "", f"usage error: {message}\n")
+
+
 def test_chern_chi(capsys):
     code, out, err = run(capsys, "chern", "chi", "H")
     assert code == 0 and out.strip() == "3"
@@ -409,6 +423,8 @@ _LES_ERROR = re.compile(r"error: no rank assignment for [0-9?, ]+\n"
                         r"|usage error: (empty sequence"
                         r"|field \d+ of '.*' is (empty|'.*'): need a nonnegative integer or \?)\n")
 
+_PAIRING_FIELD_ERROR = re.compile(r"usage error: (rank|c2) of '.*' is (empty|'.*'): need an integer\n")
+
 
 def _random_argv(rng):
     kind = rng.randrange(6)
@@ -427,8 +443,12 @@ def _random_argv(rng):
         argv = ["order", "ext", f"--src={splits[0]}", f"--tgt={splits[1]}"]
         return argv + (["--induced"] if rng.random() < 0.3 else [])
     if kind == 4:
-        triples = [f"{rng.randint(-1, 4)},{_random_divisor(rng)},{rng.randint(-9, 9)}"
-                   for _ in range(2)]
+        triples = []
+        for _ in range(2):
+            fields = [str(rng.randint(-1, 4)), _random_divisor(rng), str(rng.randint(-9, 9))]
+            if rng.random() < 0.15:  # a malformed rank or c2
+                fields[rng.choice((0, 2))] = rng.choice(["x", "2.5", "", " ", "None", "1e3"])
+            triples.append(",".join(fields))
         return ["chern", "pairing", f"--lhs={triples[0]}", f"--rhs={triples[1]}"]
     return ["cohom", "les", "--", _random_les(rng)]
 
@@ -455,5 +475,9 @@ def test_cli_fuzz_exits_with_documented_codes(capsys):
         if argv[1] == "les" and code:
             # les errors speak the command line's spelling, not Python's
             assert _LES_ERROR.fullmatch(err), (argv, err)
+        if argv[1] == "pairing" and code:
+            assert "int()" not in err, (argv, err)
+            codes["pairing field"] += bool(_PAIRING_FIELD_ERROR.fullmatch(err))
     # the sample reaches answers, domain errors and usage errors
     assert min(codes[0], codes[1], codes[2]) > 20, codes
+    assert codes["pairing field"] > 5, codes

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -27,6 +28,7 @@ from dp2.picard import (
     H,
     K,
     L,
+    classes_with,
     conic_through,
     cubic_with_node,
     enumerate_exceptional,
@@ -43,7 +45,7 @@ def test_sigma_on_named_classes():
         assert sigma(line_through(i, j)) == conic_through(i, j)
     assert sigma(H) == H
     assert sigma(K) == K
-    assert sigma(E(1)) == DivClass.of(3, -2, -1, -1, -1, -1, -1, -1)
+    assert sigma(E(1)) == DivClass((3, -2, -1, -1, -1, -1, -1, -1))
 
 
 def test_sigma_of_line():
@@ -51,14 +53,14 @@ def test_sigma_of_line():
     # involution image
     image = sigma(L)
     assert image == 3 * H - L
-    assert image == DivClass.of(8, -3, -3, -3, -3, -3, -3, -3)
+    assert image == DivClass((8, -3, -3, -3, -3, -3, -3, -3))
     assert image.selfint == 1
     assert sigma(image) == L
 
 
 def test_printed_line_formula_is_not_an_isometry():
     printed = printed_sigma_of_line()
-    assert printed == DivClass.of(1, -3, -3, -3, -3, -3, -3, -3)
+    assert printed == DivClass((1, -3, -3, -3, -3, -3, -3, -3))
     assert printed.selfint == -62
     assert printed != sigma(L)
 
@@ -157,11 +159,10 @@ def test_twice_a_cocycle_is_a_coboundary(rng):
 
 def test_class_of_basis_and_chains():
     for i in range(1, 7):
-        expected = tuple(1 if j == i - 1 else 0 for j in range(6))
-        assert class_of(e_class(i)).bits == expected
-    assert class_of(conic_through(6, 7) - E(5)).bits == (1, 0, 1, 0, 0, 0)
-    assert class_of(conic_through(6, 7) - E(6)).bits == (1, 0, 1, 0, 1, 0)
-    assert class_of(h_class()).bits == (0, 1, 0, 1, 0, 1)  # h = (h+e2+e4+e6) - e2-e4-e6
+        assert class_of(e_class(i)) == CohClass(1 << (i - 1))
+    assert str(class_of(conic_through(6, 7) - E(5))) == "101000"
+    assert str(class_of(conic_through(6, 7) - E(6))) == "101010"
+    assert str(class_of(h_class())) == "010101"  # h = (h+e2+e4+e6) - e2-e4-e6
     with pytest.raises(NotACocycle):
         class_of(L)
 
@@ -198,7 +199,7 @@ def test_class_of_matches_brute_force(rng):
     es = [e_class(i) for i in range(1, 7)]
     cocycles = [(None, sum((rng.randint(-2, 2) * k for k in kernel), ZERO)) for _ in range(25)]
     for code in range(64):
-        e, eprime = represent_as_difference(CohClass(tuple((code >> i) & 1 for i in range(6))))
+        e, eprime = represent_as_difference(CohClass(code))
         cocycles.append((code, e - eprime))
     assert len(cocycles) == 25 + 64
     for code, d in cocycles:
@@ -209,8 +210,8 @@ def test_class_of_matches_brute_force(rng):
                 if b:
                     shifted = shifted - e
             if is_coboundary(shifted):
-                hits.append(bits)
-        assert hits == [class_of(d).bits]
+                hits.append(CohClass.from_bits(bits))
+        assert hits == [class_of(d)]
         if code is not None:
             assert class_of(d).code == code
 
@@ -251,18 +252,18 @@ def test_class_of_is_additive(rng):
         for k in kernel:
             d1 = d1 + rng.randint(-3, 3) * k
             d2 = d2 + rng.randint(-3, 3) * k
-        assert class_of(d1 + d2) == class_of(d1) ^ class_of(d2)
+        assert class_of(d1 + d2).code == class_of(d1).code ^ class_of(d2).code
         assert is_coboundary(d1) == class_of(d1).is_zero()
 
 
 def test_represent_zero_class():
-    e, eprime = represent_as_difference(CohClass.zero())
+    e, eprime = represent_as_difference(CohClass(0))
     assert (e, eprime) == (E(1), E(1))
 
 
 def test_represent_all_classes_and_determinism():
     for code in range(64):
-        bits = CohClass(tuple((code >> i) & 1 for i in range(6)))
+        bits = CohClass(code)
         e, eprime = represent_as_difference(bits)
         assert class_of(e - eprime) == bits
         assert represent_as_difference(bits) == (e, eprime)
@@ -273,12 +274,10 @@ def test_represent_first_hit_matches_exhaustive_scan():
     curves = enumerate_exceptional()
     first = {}
     for a, b in itertools.product(curves, repeat=2):
-        bits = class_of(a - b).bits
-        if bits not in first:
-            first[bits] = (a, b)
+        first.setdefault(class_of(a - b), (a, b))
     assert len(first) == 64
     for bits, pair in first.items():
-        assert represent_as_difference(CohClass(bits)) == pair
+        assert represent_as_difference(bits) == pair
 
 
 def test_disjoint_representative_all_classes():
@@ -296,7 +295,7 @@ def test_disjoint_representative_all_classes():
     assert [format_divisor(c) for c in disjoint_representative(CohClass.from_bits("101101"))] == [
         "E1", "C14"]
     with pytest.raises(TrivialClass):
-        disjoint_representative(CohClass.zero())
+        disjoint_representative(CohClass(0))
 
 
 def test_h1_matches_sympy_smith_form():
@@ -324,3 +323,22 @@ def rng():
     import random
 
     return random.Random(555001)
+
+
+def test_roots_cover_each_nonzero_class_twice_and_the_form_descends():
+    # the 63 orders as the nonzero 2-torsion points of the branch quartic's
+    # Jacobian (Dolgachev, Classical Algebraic Geometry, ch. 5-6): the 126
+    # roots of H-perp = E7(-1), complete by the box of classes_with, are
+    # anti-invariant and map 2:1 onto the nonzero classes
+    roots = classes_with(0, -2)
+    assert len(roots) == 126
+    assert all(sigma(r) == -r for r in roots)
+    assert collections.Counter(class_of(r).code for r in roots) == dict.fromkeys(range(1, 64), 2)
+    # the intersection form mod 2 descends to H^1 = ker/im ...
+    assert all(intersect(k, m) % 2 == 0
+               for k in one_plus_sigma_kernel() for m in one_minus_sigma_image())
+    # ... where on e_1..e_6 it is minus the A6 Cartan matrix: determinant 7,
+    # so non-degenerate mod 2, and alternating since e_i.e_i = -2
+    gram = [[intersect(e_class(i), e_class(j)) for j in range(1, 7)] for i in range(1, 7)]
+    assert sympy.Matrix(gram).det() == 7
+    assert intlinalg.rank_mod_2(gram) == 6

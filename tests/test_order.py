@@ -6,7 +6,7 @@ import pytest
 from dp2.chern import ch_line, ch_of, euler_pairing
 from dp2.cohom import cohom_dims
 from dp2.errors import Infeasible
-from dp2.galois import class_of, disjoint_representative, sigma
+from dp2.galois import CohClass, class_of, disjoint_representative, sigma
 from dp2.order import (
     OrderModel,
     SplitBundle,
@@ -15,6 +15,7 @@ from dp2.order import (
     ext_y_split,
     hom_vanishing_by_det,
     induced_split,
+    ramification,
     replay_exceptional,
     replay_orthogonality,
     serre_twist,
@@ -86,7 +87,7 @@ def test_induced_split():
 
 
 def test_split_bundle_invariants():
-    split = SplitBundle.of(E(1), line_through(1, 2))
+    split = SplitBundle((E(1), line_through(1, 2)))
     assert split.rank == 2
     assert split.c1 == F
     assert split.c2 == 1
@@ -95,11 +96,11 @@ def test_split_bundle_invariants():
 
 
 def test_ext_y_split_structure_sheaf():
-    assert ext_y_split(SplitBundle.of(ZERO), SplitBundle.of(ZERO)) == (1, 0, 0)
+    assert ext_y_split(SplitBundle((ZERO,)), SplitBundle((ZERO,))) == (1, 0, 0)
 
 
 def test_ext_y_split_case_iv_ingredients():
-    triple = ext_y_split(SplitBundle.of(E(1)), SplitBundle.of(E(3), line_through(2, 3)))
+    triple = ext_y_split(SplitBundle((E(1),)), SplitBundle((E(3), line_through(2, 3))))
     assert triple[1] == 0
 
 
@@ -167,11 +168,11 @@ def test_ramification_splits():
         ("L26", "E6"),
         ("L27", "E7"),
     ]
-    ramification = standard_model().ramification
-    assert [format_divisor(g) for g, _ in ramification] == ["E1", "E3", "E4", "E5", "E6", "E7"]
+    branches = ramification(standard_model())
+    assert [format_divisor(g) for g, _ in branches] == ["E1", "E3", "E4", "E5", "E6", "E7"]
     assert [tuple(format_divisor(s) for s in split.summands)
-            for _, split in ramification] == expected
-    for generator, split in ramification:
+            for _, split in branches] == expected
+    for generator, split in branches:
         assert split.slopes == (1, 1)
         assert (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
         induced = induced_split(generator, standard_model())
@@ -179,15 +180,15 @@ def test_ramification_splits():
 
 
 def test_ext_alternating_sum_matches_euler_pairing():
-    splits = [split for _, split in standard_model().ramification]
+    splits = [split for _, split in ramification(standard_model())]
     for src, tgt in itertools.product(splits, repeat=2):
         triple = ext_y_split(src, tgt)
         assert triple[0] - triple[1] + triple[2] == euler_pairing(src.ch(), tgt.ch())
 
 
 def test_ext_between_branch_modules():
-    ramification = standard_model().ramification
-    first, second = ramification[0][1], ramification[1][1]
+    branches = ramification(standard_model())
+    first, second = branches[0][1], branches[1][1]
     self_table = ext_y_split(first, first)
     assert self_table == (2, 2, 0)
     cross_table = ext_y_split(first, second)
@@ -199,7 +200,7 @@ def test_ext_between_branch_modules():
 
 def test_case_iv_all_branch_pairs():
     model = standard_model()
-    generators = [g for g, _ in model.ramification]
+    generators = [g for g, _ in ramification(model)]
     for src, tgt in itertools.permutations(generators, 2):
         assert ext_a_induced(src, induced_split(tgt, model)) == (0, 0, 0)
 
@@ -217,22 +218,29 @@ def test_ramification_derived_for_every_gauge():
     for model in models:
         # sigma(E') = H - E' for a census curve, so F = E + sigma(E') = lclass + H
         assert model.f == model.lclass + H
-        ramification = model.ramification
-        assert len(ramification) == 6
-        assert ramification[0] == (model.e, SplitBundle.of(model.e, model.sigma_eprime))
-        for generator, split in ramification:
+        branches = ramification(model)
+        assert len(branches) == 6
+        assert branches[0] == (model.e, SplitBundle((model.e, model.sigma_eprime)))
+        for generator, split in branches:
             assert split.slopes == (1, 1)
             assert (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
             assert split.c1 == model.f
             assert set(split.summands) == set(induced_split(generator, model).summands)
 
 
-def test_branch_point_exts_for_sampled_gauges(rng):
-    for model in rng.sample(_all_disjoint_gauges(), 25):
-        ramification = model.ramification
-        for (src, _), (tgt, _) in itertools.permutations(ramification, 2):
-            assert ext_a_induced(src, induced_split(tgt, model)) == (0, 0, 0)
-        for _, split in ramification:
+def test_branch_point_exts_on_every_order():
+    # Bondal-Orlov's point conditions at the six branch points, on all 63 orders:
+    # Ext_A between distinct branch modules vanishes in every degree and each
+    # self-Ext is (1, 1, 0).  Each alternating sum is also chi through chern,
+    # a route that does not peel h0, and it is 0.
+    for code in range(1, 64):
+        model = OrderModel(*disjoint_representative(CohClass(code)))
+        for (src, _), (tgt, _) in itertools.product(ramification(model), repeat=2):
+            triple = ext_a_induced(src, induced_split(tgt, model))
+            assert triple == ((1, 1, 0) if src == tgt else (0, 0, 0)), (code, src, tgt)
+            chi = euler_pairing(ch_line(src), induced_split(tgt, model).ch())
+            assert triple[0] - triple[1] + triple[2] == chi == 0, (code, src, tgt)
+        for _, split in ramification(model):
             assert ext_y_split(split, split) == (2, 2, 0)
 
 

@@ -58,7 +58,7 @@ def test_e1_dot_d1_from_expansion():
 
 
 def test_canonical_class():
-    assert canonical_class() == DivClass.of(-3, 1, 1, 1, 1, 1, 1, 1)
+    assert canonical_class() == DivClass((-3, 1, 1, 1, 1, 1, 1, 1))
     assert intersect(K, K) == 9 - 7 == 2
     assert K + H == ZERO
     for c in enumerate_exceptional():
@@ -159,10 +159,10 @@ def test_census_closed_under_bitangent_pairing():
 
 
 def test_classify_examples():
-    lij = DivClass.of(1, -1, -1, 0, 0, 0, 0, 0)
+    lij = DivClass((1, -1, -1, 0, 0, 0, 0, 0))
     assert classify(lij) is lij and format_divisor(lij) == "L12"
     # oracle: expand 2L - sum(Ek, k != 1, 2)
-    cij = DivClass.of(2, 0, 0, -1, -1, -1, -1, -1)
+    cij = DivClass((2, 0, 0, -1, -1, -1, -1, -1))
     assert classify(cij) is cij and format_divisor(cij) == "C12"
     for d in (ZERO, L, H, E(1) + E(2)):
         assert classify(d) is None

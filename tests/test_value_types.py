@@ -5,8 +5,9 @@ its ``__slots__``: it compares and hashes by its field tuple, prints as
 ``Name(field=value, ...)`` (``reporting`` falls back to ``str()`` for JSON,
 so the frozen replay output depends on it), refuses assignment and deletion,
 and copies and pickles through its constructor.  Each type checks its fields
-on construction in its own ``__init__``.  Every subclass of ``Value`` in the
-package must have a case in ``CASES``.
+on construction in its own ``__init__``, its one constructor, and stores
+nothing beside them.  Every subclass of ``Value`` in the package must have a
+case in ``CASES``.
 """
 
 import copy
@@ -17,13 +18,14 @@ import pkgutil
 import pytest
 
 import dp2
-from dp2 import order, reporting
+from dp2 import order
 from dp2.chern import ChernChar, ch_of
 from dp2.cohom import CohomDims, Interval, LesResult, les_solve
 from dp2.errors import Value
 from dp2.galois import CohClass
 from dp2.order import OrderModel, SplitBundle, standard_model
 from dp2.picard import DivClass, E, F, H, L, conic_through
+from dp2.reporting import ClaimReport
 
 
 def _cases():
@@ -40,20 +42,18 @@ def _cases():
          "LesResult(entries=(1, 2, 1), ranks=(Interval(lo=0, hi=0), Interval(lo=1, hi=1), "
          "Interval(lo=1, hi=1), Interval(lo=0, hi=0)))",
          ((1, 2, 1), (Interval(0, 0), Interval(1, 1), Interval(1, 1), Interval(0, 0))), "ranks"),
-        (CohClass.from_bits("100000"), CohClass((1, 0, 0, 0, 0, 0)),
-         "CohClass(bits=(1, 0, 0, 0, 0, 0))", ((1, 0, 0, 0, 0, 0),), "bits"),
+        (CohClass.from_bits("101000"), CohClass(5), "CohClass(code=5)", (5,), "code"),
         (standard_model(), OrderModel(E(1), conic_through(1, 2)),
          "OrderModel(e=DivClass(0, 1, 0, 0, 0, 0, 0, 0), "
          "eprime=DivClass(2, 0, 0, -1, -1, -1, -1, -1))",
          (E(1), conic_through(1, 2)), "eprime"),
-        (SplitBundle.of(H, L), SplitBundle((H, L)),
+        (SplitBundle((H, L)), SplitBundle((H, L)),
          "SplitBundle(summands=(DivClass(3, -1, -1, -1, -1, -1, -1, -1), "
          "DivClass(1, 0, 0, 0, 0, 0, 0, 0)))", ((H, L),), "summands"),
-        (reporting.report("X", "d", "ref", 1, 1),
-         reporting.ClaimReport("X", "d", 1, 1, True, "ref"),
-         "ClaimReport(id='X', description='d', expected=1, computed=1, passed=True, "
-         "paper_ref='ref', known_discrepancy=False)",
-         ("X", "d", 1, 1, True, "ref", False), "passed"),
+        (ClaimReport("X", "d", "ref", 1, 1), ClaimReport("X", "d", "ref", 1, 1, False),
+         "ClaimReport(id='X', description='d', paper_ref='ref', expected=1, computed=1, "
+         "known_discrepancy=False)",
+         ("X", "d", "ref", 1, 1, False), "computed"),
     ]
 
 
@@ -80,7 +80,7 @@ def test_equality_and_hash_follow_the_field_tuple(a, twin, text, fields, name):
 
 @pytest.mark.parametrize("a, twin, text, fields, name", CASES, ids=IDS)
 def test_every_field_takes_part_in_equality(a, twin, text, fields, name):
-    names = [n for n in type(a).__slots__ if n != "__dict__"]
+    names = type(a).__slots__
     assert len(names) == len(fields)
     for changed in names:
         other = object.__new__(type(a))  # bypasses the constructor's checks
@@ -114,7 +114,9 @@ def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
      "degree-2 part 1/2 violates integrality against c^2 = 2"),
     (lambda: les_solve([]), ValueError, "empty sequence"),
     (lambda: les_solve([1, -1]), ValueError, "entries must be nonnegative ints or None, got -1"),
-    (lambda: CohClass((1, 0)), ValueError, "need six bits, got (1, 0)"),
+    (lambda: CohClass(64), ValueError, "need a 6-bit code, got 64"),
+    (lambda: CohClass.from_bits("10"), ValueError, "need six bits, got (1, 0)"),
+    (lambda: CohClass.from_bits("100002"), ValueError, "need six bits, got (1, 0, 0, 0, 0, 2)"),
     (lambda: OrderModel(E(1), E(1)), ValueError, "E1 and E1 are not disjoint"),
     (lambda: OrderModel(L, E(1)), ValueError, "L is not a (-1)-curve"),
     (lambda: OrderModel(E(1), E(1) + E(2)), ValueError, "E1+E2 is not a (-1)-curve"),
@@ -125,15 +127,24 @@ def test_construction_checks(build, error, message):
     assert str(info.value) == message
 
 
+def test_claim_report_passes_exactly_when_its_values_agree():
+    # the verdict is derived, so a report cannot pass with differing values
+    assert ClaimReport("X", "d", "ref", [1, 0], [1, 0]).status() == "PASS"
+    assert ClaimReport("X", "d", "ref", 1, 2).status() == "FAIL"
+    assert ClaimReport("X", "d", "ref", 1, 2, known_discrepancy=True).status() == "FLAG"
+    assert not ClaimReport("X", "d", "ref", 1, 2, known_discrepancy=True).passed
+
+
 def test_order_model_ramification_is_computed_once(monkeypatch):
+    # order.ramification caches the last model's answer; an equal model hits it
     model = OrderModel(E(1), conic_through(1, 2))
     calls = []
     real = order.enumerate_exceptional
     monkeypatch.setattr(order, "enumerate_exceptional", lambda: calls.append(1) or real())
-    first = model.ramification
-    assert model.ramification is first
+    order.ramification.cache_clear()
+    first = order.ramification(model)
+    assert order.ramification(standard_model()) is first
     assert len(calls) == 1
-    assert model == standard_model()  # the cached value takes no part in equality
 
 
 def _subclasses(cls):
@@ -153,9 +164,8 @@ def test_every_value_type_has_a_case():
 def test_cached_ramification_is_not_a_field():
     model = OrderModel(E(1), conic_through(1, 2))
     before = (repr(model), hash(model))
-    assert model.ramification
-    assert "ramification" in vars(model)
+    assert order.ramification(model)
+    assert not hasattr(model, "__dict__")  # the model has nowhere to keep it
     assert (repr(model), hash(model)) == before
     assert model == standard_model()
-    clone = pickle.loads(pickle.dumps(model))
-    assert clone == model and "ramification" not in vars(clone)
+    assert pickle.loads(pickle.dumps(model)) == model

@@ -20,7 +20,7 @@ quaternion order is the class of its invertible summand plus a multiple of H.
 
 from __future__ import annotations
 
-from .errors import HalfIntegerLeak, Value
+from .errors import InternalInconsistency, Value
 from .picard import ZERO, DivClass, H, intersect
 
 __all__ = [
@@ -97,7 +97,7 @@ def euler_pairing(x: ChernChar, y: ChernChar) -> int:
     z = mult(dual(x), y)
     doubled = 2 * z.rank + z.s2 + intersect(z.c, H)
     if doubled % 2 != 0:
-        raise HalfIntegerLeak(f"pairing of {x!r} and {y!r} is {doubled}/2")
+        raise InternalInconsistency(f"pairing of {x!r} and {y!r} is {doubled}/2")
     return doubled // 2
 
 

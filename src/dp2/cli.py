@@ -16,6 +16,11 @@ An expression starting with "-" must be shielded from option parsing: write
 
 Every command takes --json for machine-readable output.  Exit status is 0 on
 success, 1 on a failed verification or domain error, 2 on usage errors.
+A command with one answer builds it once, as a payload dict and its text,
+and ends in ``_emit``, the one place that chooses between the payload as
+sorted JSON and the text.  The report commands (``replay``, ``order
+replay``) end in ``_emit_reports``: one JSON line per report, and exit 1 on
+a failed claim.
 
 The grammar is one table, ``_COMMANDS``: per group and command its help,
 handler and ``add_argument`` specifications, in the order argparse adds them.
@@ -31,22 +36,16 @@ import sys
 
 from . import picard
 from .errors import Infeasible, NotACocycle, TrivialClass, UnknownClaim
-from .picard import DivClass, format_divisor, intersect, parse_divisor
-
-
-def _print_json(payload) -> None:
-    import json  # only --json output needs it
-
-    print(json.dumps(payload, sort_keys=True))
+from .picard import format_divisor, intersect, parse_divisor
 
 
 def _parse_bits(text: str) -> CohClass:
     from .galois import CohClass
 
-    s = text.replace(",", "").replace(" ", "")
-    if len(s) != 6 or any(c not in "01" for c in s):
-        raise ValueError(f"need six bits like 101000, got {text!r}")
-    return CohClass.from_bits(s)
+    try:
+        return CohClass.from_bits(text.replace(",", "").replace(" ", ""))
+    except ValueError:
+        raise ValueError(f"need six bits like 101000, got {text!r}") from None
 
 
 def _parse_split(text: str) -> order.SplitBundle:
@@ -67,6 +66,8 @@ def _parse_chern_triple(text: str) -> chern.ChernChar:
     rank = _integer_field("rank", parts[0], text)
     c2 = _integer_field("c2", parts[-1], text)
     c1 = parse_divisor(",".join(parts[1:-1]))
+    if rank < 0:
+        raise ValueError(f"rank of {text!r} is {parts[0].strip()!r}: need a nonnegative integer")
     return chern.ch_of(rank, c1, c2)
 
 
@@ -105,37 +106,35 @@ def _parse_les(text: str) -> list[int | None]:
 # ---------------------------------------------------------------------------
 
 
+def _emit(args, payload: dict, text: str) -> int:
+    """Print one answer: the payload as sorted JSON under --json, else the text."""
+    if args.json:
+        import json  # only --json output needs it
+
+        text = json.dumps(payload, sort_keys=True)
+    print(text)
+    return 0
+
+
 def _cmd_galois_h1(args) -> int:
     from . import galois
 
     divisors = galois.h1_galois()
     order = math.prod(divisors)
-    if args.json:
-        _print_json({"elementary_divisors": divisors,
-                     "order": order,
-                     "generators": [str(galois.e_class(i)) for i in range(1, 7)]})
-    else:
-        print(f"H^1 elementary divisors: {divisors} (group order {order})")
-        print("generated by e_i = Ei - Ei+1, i = 1..6")
-    return 0
+    payload = {"elementary_divisors": divisors, "order": order,
+               "generators": [str(galois.e_class(i)) for i in range(1, 7)]}
+    return _emit(args, payload, f"H^1 elementary divisors: {divisors} (group order {order})\n"
+                                "generated by e_i = Ei - Ei+1, i = 1..6")
 
 
 def _cmd_galois_class(args) -> int:
     from . import galois
 
     d = parse_divisor(args.divisor)
-    bits = galois.class_of(d)
-    payload = {
-        "divisor": format_divisor(d),
-        "bits": str(bits),
-        "is_coboundary": galois.is_coboundary(d),
-    }
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"[{payload['divisor']}] = {payload['bits']}"
-              + ("  (coboundary)" if payload["is_coboundary"] else ""))
-    return 0
+    payload = {"divisor": format_divisor(d), "bits": str(galois.class_of(d)),
+               "is_coboundary": galois.is_coboundary(d)}
+    return _emit(args, payload, f"[{payload['divisor']}] = {payload['bits']}"
+                 + ("  (coboundary)" if payload["is_coboundary"] else ""))
 
 
 def _cmd_galois_represent(args) -> int:
@@ -143,55 +142,37 @@ def _cmd_galois_represent(args) -> int:
 
     bits = _parse_bits(args.bits)
     e, eprime = galois.represent_as_difference(bits)
-    check = galois.class_of(e - eprime)
     payload = {
         "bits": str(bits),
         "pair": [format_divisor(e), format_divisor(eprime)],
         "difference": str(e - eprime),
-        "class_of_difference": str(check),
+        "class_of_difference": str(galois.class_of(e - eprime)),
         "intersection": intersect(e, eprime),
     }
+    text = (f"class {payload['bits']} = [{payload['pair'][0]} - {payload['pair'][1]}]"
+            f"  (E.E' = {payload['intersection']}, check {payload['class_of_difference']})")
     if not bits.is_zero():
         de, deprime = galois.disjoint_representative(bits)
         payload["disjoint_pair"] = [format_divisor(de), format_divisor(deprime)]
         payload["disjoint_intersection"] = intersect(de, deprime)
         payload["disjoint_class"] = str(galois.class_of(de - deprime))
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"class {payload['bits']} = [{payload['pair'][0]} - {payload['pair'][1]}]"
-              f"  (E.E' = {payload['intersection']}, check {payload['class_of_difference']})")
-        if "disjoint_pair" in payload:
-            print(f"disjoint pair: ({payload['disjoint_pair'][0]}, "
-                  f"{payload['disjoint_pair'][1]})  E.E' = {payload['disjoint_intersection']}")
-    return 0
-
-
-def _dims_payload(d: DivClass) -> dict:
-    from . import cohom
-
-    dims = cohom.cohom_dims(d)
-    w = cohom.noneffective_witness(d)
-    return {
-        "divisor": format_divisor(d),
-        "h0": dims.h0,
-        "h1": dims.h1,
-        "h2": dims.h2,
-        "chi": cohom.chi_line(d),
-        "witness": None if w is None else format_divisor(w),
-    }
+        text += (f"\ndisjoint pair: ({payload['disjoint_pair'][0]}, "
+                 f"{payload['disjoint_pair'][1]})  E.E' = {payload['disjoint_intersection']}")
+    return _emit(args, payload, text)
 
 
 def _cmd_cohom_dims(args) -> int:
-    payload = _dims_payload(parse_divisor(args.divisor))
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"h({payload['divisor']}) = ({payload['h0']}, {payload['h1']}, "
-              f"{payload['h2']}), chi = {payload['chi']}")
-        if payload["witness"] is not None:
-            print(f"non-effectivity witness: {payload['witness']}")
-    return 0
+    from . import cohom
+
+    d = parse_divisor(args.divisor)
+    dims = cohom.cohom_dims(d)
+    w = cohom.noneffective_witness(d)
+    payload = {"divisor": format_divisor(d), "h0": dims.h0, "h1": dims.h1, "h2": dims.h2,
+               "chi": cohom.chi_line(d), "witness": None if w is None else format_divisor(w)}
+    text = f"h({payload['divisor']}) = ({dims.h0}, {dims.h1}, {dims.h2}), chi = {payload['chi']}"
+    if w is not None:
+        text += f"\nnon-effectivity witness: {payload['witness']}"
+    return _emit(args, payload, text)
 
 
 def _cmd_cohom_h0(args) -> int:
@@ -199,11 +180,7 @@ def _cmd_cohom_h0(args) -> int:
 
     d = parse_divisor(args.divisor)
     value = cohom.h0(d)
-    if args.json:
-        _print_json({"divisor": format_divisor(d), "h0": value})
-    else:
-        print(value)
-    return 0
+    return _emit(args, {"divisor": format_divisor(d), "h0": value}, str(value))
 
 
 def _cmd_cohom_witness(args) -> int:
@@ -211,32 +188,22 @@ def _cmd_cohom_witness(args) -> int:
 
     d = parse_divisor(args.divisor)
     w = cohom.noneffective_witness(d)
-    if args.json:
-        _print_json({"divisor": format_divisor(d),
-                     "witness": None if w is None else format_divisor(w),
-                     "product": None if w is None else intersect(d, w)})
-    else:
-        if w is None:
-            print("no witness in the pool")
-        else:
-            print(f"witness {format_divisor(w)} with product {intersect(d, w)}")
-    return 0
+    payload = {"divisor": format_divisor(d),
+               "witness": None if w is None else format_divisor(w),
+               "product": None if w is None else intersect(d, w)}
+    return _emit(args, payload, "no witness in the pool" if w is None else
+                 f"witness {payload['witness']} with product {payload['product']}")
 
 
 def _cmd_cohom_les(args) -> int:
     from . import cohom
 
     result = cohom.les_solve(_parse_les(args.dims))
-    entries = [e if isinstance(e, int) else {"lo": e.lo, "hi": e.hi}
-               for e in result.entries]
-    if args.json:
-        _print_json({"entries": entries, "determined": result.determined})
-    else:
-        shown = ", ".join(str(e) if isinstance(e, int) else str(result.entries[i])
-                          for i, e in enumerate(entries))
-        tag = "" if result.determined else "  (underdetermined)"
-        print(f"solved: {shown}{tag}")
-    return 0
+    payload = {"entries": [e if isinstance(e, int) else {"lo": e.lo, "hi": e.hi}
+                           for e in result.entries],
+               "determined": result.determined}
+    return _emit(args, payload, "solved: " + ", ".join(str(e) for e in result.entries)
+                 + ("" if result.determined else "  (underdetermined)"))
 
 
 def _cmd_chern_pairing(args) -> int:
@@ -245,26 +212,20 @@ def _cmd_chern_pairing(args) -> int:
     lhs = _parse_chern_triple(args.lhs)
     rhs = _parse_chern_triple(args.rhs)
     value = chern.euler_pairing(lhs, rhs)
-    if args.json:
-        _print_json({
-            "lhs": {"rank": lhs.rank, "c1": list(lhs.c.coeffs), "ch2_times_2": lhs.s2},
-            "rhs": {"rank": rhs.rank, "c1": list(rhs.c.coeffs), "ch2_times_2": rhs.s2},
-            "pairing": value,
-        })
-    else:
-        print(value)
-    return 0
+    payload = {
+        "lhs": {"rank": lhs.rank, "c1": list(lhs.c.coeffs), "ch2_times_2": lhs.s2},
+        "rhs": {"rank": rhs.rank, "c1": list(rhs.c.coeffs), "ch2_times_2": rhs.s2},
+        "pairing": value,
+    }
+    return _emit(args, payload, str(value))
 
 
 def _cmd_chern_chi(args) -> int:
     from . import cohom
 
     d = parse_divisor(args.divisor)
-    if args.json:
-        _print_json({"divisor": format_divisor(d), "chi": cohom.chi_line(d)})
-    else:
-        print(cohom.chi_line(d))
-    return 0
+    chi = cohom.chi_line(d)
+    return _emit(args, {"divisor": format_divisor(d), "chi": chi}, str(chi))
 
 
 def _cmd_order_model(args) -> int:
@@ -282,16 +243,13 @@ def _cmd_order_model(args) -> int:
         "class_bits": str(galois.class_of(model.lclass)),
         "c1_constraint_n": chern.c1_constraint(model.f, model.lclass),
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"order model: E = {payload['e']}, E' = {payload['eprime']}, "
-              f"sigma(E') = {payload['sigma_eprime']}")
-        print(f"L = E - E' = {payload['lclass']}   class bits {payload['class_bits']}")
-        print(f"F = E + sigma(E') = {payload['f']}   F.F = {payload['f_square']}, "
-              f"F.H = {payload['f_degree']}, determinant constraint n = "
-              f"{payload['c1_constraint_n']}")
-    return 0
+    return _emit(args, payload,
+                 f"order model: E = {payload['e']}, E' = {payload['eprime']}, "
+                 f"sigma(E') = {payload['sigma_eprime']}\n"
+                 f"L = E - E' = {payload['lclass']}   class bits {payload['class_bits']}\n"
+                 f"F = E + sigma(E') = {payload['f']}   F.F = {payload['f_square']}, "
+                 f"F.H = {payload['f_degree']}, determinant constraint n = "
+                 f"{payload['c1_constraint_n']}")
 
 
 def _cmd_order_ext(args) -> int:
@@ -305,12 +263,8 @@ def _cmd_order_ext(args) -> int:
         level, triple = "A", order.ext_a_induced(src.summands[0], tgt)
     else:
         level, triple = "Y", order.ext_y_split(src, tgt)
-    if args.json:
-        _print_json({"src": str(src), "tgt": str(tgt), "level": level,
-                     "ext": list(triple)})
-    else:
-        print(f"ext_{level}({src}, {tgt}) = {triple}")
-    return 0
+    payload = {"src": str(src), "tgt": str(tgt), "level": level, "ext": list(triple)}
+    return _emit(args, payload, f"ext_{level}({src}, {tgt}) = {triple}")
 
 
 def _cmd_order_replay(args) -> int:

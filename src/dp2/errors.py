@@ -26,10 +26,6 @@ class InternalInconsistency(AssertionError):
     """Two independent computation routes disagreed; indicates a bug, never user error."""
 
 
-class HalfIntegerLeak(ArithmeticError):
-    """A Riemann-Roch integral failed to be an integer; an upstream invariant is broken."""
-
-
 class Infeasible(ValueError):
     """No valid rank assignment exists for the given exact-sequence dimensions."""
 

@@ -98,6 +98,9 @@ def e_class(i: int) -> DivClass:
     return E(i) - E(i + 1)
 
 
+_BIT = {0: 0, 1: 1, "0": 0, "1": 1}  # the entries CohClass.from_bits accepts
+
+
 class CohClass(Value):
     """An element of H^1(G, Pic Y) as a 6-bit code: bit i is its coordinate on e_{i+1}."""
 
@@ -110,11 +113,11 @@ class CohClass(Value):
 
     @staticmethod
     def from_bits(bits) -> "CohClass":
-        """The class with coordinates (e1, ..., e6) read from six 0/1 entries, e.g. "101000"."""
-        bits = [int(b) for b in bits]
-        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"need six bits, got {tuple(bits)!r}")
-        return CohClass(sum(b << i for i, b in enumerate(bits)))
+        """The class with coordinates (e1, ..., e6) read from six entries 0, 1, "0" or "1"."""
+        bits = tuple(bits)
+        if len(bits) != 6 or any(b not in _BIT for b in bits):
+            raise ValueError(f"need six bits, got {bits!r}")
+        return CohClass(sum(_BIT[b] << i for i, b in enumerate(bits)))
 
     def is_zero(self) -> bool:
         return self.code == 0

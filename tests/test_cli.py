@@ -67,8 +67,15 @@ def test_galois_represent(capsys):
 
 
 def test_galois_represent_bad_bits(capsys):
-    code, out, err = run(capsys, "galois", "represent", "10")
-    assert code == 2
+    # a full-width digit is refused by CohClass.from_bits, the one check of the bits
+    for bits in ["10", "\uff1000000", "10100", "1111111"]:
+        assert run(capsys, "galois", "represent", bits) == (
+            2, "", f"usage error: need six bits like 101000, got {bits!r}\n")
+
+
+@pytest.mark.parametrize("bits", ["1,0,1,0,0,0", "1 0 1 0 0 0"])
+def test_galois_represent_strips_separators(capsys, bits):
+    assert run(capsys, "galois", "represent", bits) == run(capsys, "galois", "represent", "101000")
 
 
 def test_cohom_dims(capsys):
@@ -148,7 +155,7 @@ def test_chern_pairing(capsys):
     ("1,H,", "c2 of '1,H,' is empty: need an integer"),
     (" ,H,0", "rank of ' ,H,0' is empty: need an integer"),
     ("1,H", "need rank,c1,c2 in '1,H'"),
-    ("-1,H,0", "rank must be nonnegative"),
+    ("-1,H,0", "rank of '-1,H,0' is '-1': need a nonnegative integer"),
 ])
 def test_chern_pairing_usage_errors_name_the_field(capsys, triple, message):
     assert run(capsys, "chern", "pairing", f"--lhs={triple}", "--rhs", "1,H,0") == (
@@ -423,7 +430,8 @@ _LES_ERROR = re.compile(r"error: no rank assignment for [0-9?, ]+\n"
                         r"|usage error: (empty sequence"
                         r"|field \d+ of '.*' is (empty|'.*'): need a nonnegative integer or \?)\n")
 
-_PAIRING_FIELD_ERROR = re.compile(r"usage error: (rank|c2) of '.*' is (empty|'.*'): need an integer\n")
+_PAIRING_FIELD_ERROR = re.compile(
+    r"usage error: (rank|c2) of '.*' is (empty|'.*'): need (an|a nonnegative) integer\n")
 
 
 def _random_argv(rng):

@@ -342,3 +342,28 @@ def test_roots_cover_each_nonzero_class_twice_and_the_form_descends():
     gram = [[intersect(e_class(i), e_class(j)) for j in range(1, 7)] for i in range(1, 7)]
     assert sympy.Matrix(gram).det() == 7
     assert intlinalg.rank_mod_2(gram) == 6
+
+
+def test_sigma_is_the_longest_element_of_w_e7():
+    # sigma = w0 of W(E7) (Dolgachev, Classical Algebraic Geometry, ch. 8),
+    # by a route that never uses the closed form: reflect the antidominant
+    # 5L - E1 - 2E2 - ... - 7E7, which pairs to -1 with every simple root, in a
+    # simple root it pairs negatively with until it pairs with none; the word
+    # is reduced, of length the 63 positive roots, and its product is w0
+    simple = [E(i) - E(i + 1) for i in range(1, 7)] + [L - E(1) - E(2) - E(3)]
+
+    def reflect(x, r):
+        return x + intersect(x, r) * r  # s_r(x) = x + (x.r) r, as r.r = -2
+
+    x = 5 * L - sum((i * E(i) for i in range(1, 8)), ZERO)
+    assert [intersect(x, r) for r in simple] == [-1] * 7
+    word = []
+    while (r := next((r for r in simple if intersect(x, r) < 0), None)) is not None:
+        word.append(r)
+        x = reflect(x, r)
+    assert len(word) == 63
+    for b in [L] + [E(i) for i in range(1, 8)]:
+        image = b
+        for r in word:
+            image = reflect(image, r)
+        assert image == sigma(b), format_divisor(b)

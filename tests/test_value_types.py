@@ -115,8 +115,11 @@ def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
     (lambda: les_solve([]), ValueError, "empty sequence"),
     (lambda: les_solve([1, -1]), ValueError, "entries must be nonnegative ints or None, got -1"),
     (lambda: CohClass(64), ValueError, "need a 6-bit code, got 64"),
-    (lambda: CohClass.from_bits("10"), ValueError, "need six bits, got (1, 0)"),
-    (lambda: CohClass.from_bits("100002"), ValueError, "need six bits, got (1, 0, 0, 0, 0, 2)"),
+    (lambda: CohClass.from_bits("10"), ValueError, "need six bits, got ('1', '0')"),
+    (lambda: CohClass.from_bits("100002"), ValueError,
+     "need six bits, got ('1', '0', '0', '0', '0', '2')"),
+    (lambda: CohClass.from_bits("\uff1100000"), ValueError,
+     "need six bits, got ('\uff11', '0', '0', '0', '0', '0')"),
     (lambda: OrderModel(E(1), E(1)), ValueError, "E1 and E1 are not disjoint"),
     (lambda: OrderModel(L, E(1)), ValueError, "L is not a (-1)-curve"),
     (lambda: OrderModel(E(1), E(1) + E(2)), ValueError, "E1+E2 is not a (-1)-curve"),

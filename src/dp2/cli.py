@@ -36,7 +36,7 @@ import sys
 
 from . import picard
 from .errors import Infeasible, NotACocycle, TrivialClass, UnknownClaim
-from .picard import format_divisor, intersect, parse_divisor
+from .picard import format_divisor, intersect, parse_divisor, parse_integer
 
 
 def _parse_bits(text: str) -> CohClass:
@@ -75,7 +75,7 @@ def _integer_field(name: str, piece: str, text: str) -> int:
     """The integer in one field of ``text``; a refusal names the field as the user typed it."""
     piece = piece.strip()
     try:
-        return int(piece)
+        return parse_integer(piece)
     except ValueError:
         shown = repr(piece) if piece else "empty"
         raise ValueError(f"{name} of {text!r} is {shown}: need an integer") from None
@@ -90,7 +90,7 @@ def _parse_les(text: str) -> list[int | None]:
             entries.append(None)
             continue
         try:
-            value = int(piece)
+            value = parse_integer(piece)
         except ValueError:
             value = None
         if value is None or value < 0:

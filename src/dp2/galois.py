@@ -16,22 +16,23 @@ With G of order two acting through sigma, the first group cohomology is
 
     H^1(G, Pic Y) = ker(1 + sigma) / im(1 - sigma) = (Z/2)^6,
 
-computed here mechanically, not copied from the literature.  Since
-(1 + sigma)D = (D.H) H, a class D is a cocycle exactly when D.H = 0.  An
-integer kernel basis gives ker(1 + sigma) = Z^7, which is saturated, so the
-basis has an integer left inverse P and a cocycle D has kernel coordinates
-P.D.  sigma = -1 on the kernel, so (1 - sigma)k = 2k puts 2 ker(1 + sigma)
-inside the image, and the quotient is F_2^7 modulo the image generators'
-kernel coordinates P.img mod 2: six copies of Z/2 when those have rank 1
-over F_2.  The class of a cocycle k in the basis e_i = Ei - Ei+1 is read off
-by one exact integer solve of k = sum x_i e_i + (an element of im(1 - sigma)):
-the x_i mod 2 are its bits.  That reading is well defined only because
-H^1 = (Z/2)^6 and the e_i generate it, and the derivation checks both once
-per process.  It solves only for the kernel basis: the class is linear, so a
-cocycle D has class P.D times those seven, mod 2, which is a 6-bit parity
-code per coordinate of (L, E1..E7) XORed over the odd coordinates of D.
-A ``CohClass`` is that code and nothing else: bit i is the coordinate on
-e_{i+1}, and it prints as the six bits e1 first, e.g. 101000 for e1 + e3.
+read off in closed form from that of sigma.  (1 + sigma)D = (D.H) H, so
+the cocycles are H-perp; (1 - sigma)D = 2D - (D.H) H, so the
+coboundaries are 2 H-perp + Z(2E1 - H).  H = 3L - E1 - ... - E7 is odd in all
+eight coordinates, hence the parity rule:
+
+  * a cocycle is a coboundary exactly when its eight coordinates are all
+    even or all odd;
+  * its class is its parity vector, of even weight since D.H = 0, taken
+    modulo the all-ones vector: complement all eight bits when the L bit is
+    set, then bit i of the code is the XOR of the E1..E_{i+1} bits.
+
+So H^1 is the even-weight subsets of the eight coordinates modulo
+complement, 64 of them: the classical model of Jac(C)[2] for the branch
+quartic C (Dolgachev, Classical Algebraic Geometry, ch. 6).  The code of
+e_i = Ei - Ei+1 is the single bit i - 1, so a ``CohClass``, which is that
+code and nothing else, has bit i as its coordinate on e_{i+1}; it prints as
+the six bits e1 first, e.g. 101000 for e1 + e3.
 The module also houses the cocycle tests and one search over the 56 x 56
 ordered curve pairs (E, E') in census row-major order: its first pair with
 [E - E'] = v represents v, and its first disjoint one represents a nonzero v.
@@ -41,10 +42,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import intlinalg
 from .errors import InternalInconsistency, NotACocycle, TrivialClass, Value
 from .picard import (
-    RANK,
     ZERO,
     DivClass,
     E,
@@ -61,8 +60,6 @@ __all__ = [
     "printed_sigma_of_line",
     "h_class",
     "e_class",
-    "one_plus_sigma_kernel",
-    "one_minus_sigma_image",
     "h1_galois",
     "is_coboundary",
     "class_of",
@@ -127,88 +124,36 @@ class CohClass(Value):
 
 
 # ---------------------------------------------------------------------------
-# derived cohomology data, computed once
+# H^1 by the parity rule
 # ---------------------------------------------------------------------------
 
 
-def _columns(classes: list[DivClass]) -> intlinalg.Matrix:
-    return [[d.coeffs[i] for d in classes] for i in range(RANK)]
-
-
-def _one_plus_sign_sigma(sign: int) -> intlinalg.Matrix:
-    """The matrix of 1 + sign*sigma on (L, E1..E7), from sigma on the unit vectors."""
-    units = [DivClass(tuple(int(i == j) for i in range(RANK))) for j in range(RANK)]
-    return _columns([u + sign * sigma(u) for u in units])
-
-
-@lru_cache(maxsize=1)
-def _one_minus_solver():
-    """Solves (1 - sigma)x = b; the matrix is echelonised once per process."""
-    return intlinalg.solver(_one_plus_sign_sigma(-1))
-
-
-@lru_cache(maxsize=1)
-def _cohomology():
-    """(kernel, image, divisors, codes), derived once per process.
-
-    ``divisors`` are the non-unit elementary divisors of the quotient.
-    ``codes`` holds one 6-bit parity code per coordinate: the class of a
-    cocycle d is the XOR of the codes of its odd coordinates (see class_of).
-    """
-    kernel = [DivClass(tuple(v)) for v in intlinalg.kernel_basis(_one_plus_sign_sigma(1))]
-    image = [DivClass(tuple(v)) for v in intlinalg.column_space_basis(_one_plus_sign_sigma(-1))]
-    if len(kernel) != 7:
-        raise InternalInconsistency(f"ker(1+sigma) has rank {len(kernel)}, expected 7")
-
-    # ker(1 + sigma) is saturated, so its basis has an integer left inverse P;
-    # a cocycle d has kernel coordinates P.d, and class_of is linear
-    left_inverse = intlinalg.solver([list(k.coeffs) for k in kernel])
-    p_rows = [left_inverse([int(i == j) for i in range(7)]) for j in range(7)]
-    if None in p_rows:
-        raise InternalInconsistency("ker(1+sigma) has no integer left inverse")
-
-    # 2 ker lies in im, so ker/im = F_2^7 modulo P.img mod 2; img.H = 0 puts img in ker
-    coords = []
-    for img in image:
-        if img.dot(H) != 0:
-            raise InternalInconsistency(f"{img!r} is not inside ker(1+sigma)")
-        coords.append([sum(p * c for p, c in zip(row, img.coeffs)) for row in p_rows])
-    divisors = [2] * (len(kernel) - intlinalg.rank_mod_2(coords))
-
-    # startup self-check: the bits of class_of are well defined only when
-    # H^1 = (Z/2)^6 and the classes of e_1..e_6 generate it.  Solving
-    # k = sum x_i e_i + (image combination) gives each kernel vector's class
-    # as x mod 2.
-    if divisors != [2] * 6:
-        raise InternalInconsistency(f"H^1 has elementary divisors {divisors}, expected six 2s")
-    class_solver = intlinalg.solver(_columns([e_class(i) for i in range(1, 7)] + image))
-    kernel_classes = []
-    for k in kernel:
-        x = class_solver(list(k.coeffs))
-        if x is None:
-            raise InternalInconsistency(f"e_1..e_6 and im(1-sigma) do not span {k!r}")
-        kernel_classes.append(x[:6])
-
-    codes = tuple(
-        sum((sum(x[i] * p[col] for x, p in zip(kernel_classes, p_rows)) % 2) << i
-            for i in range(6))
-        for col in range(RANK))
-    return tuple(kernel), tuple(image), tuple(divisors), codes
-
-
-def one_plus_sigma_kernel() -> list[DivClass]:
-    """An integer basis of ker(1 + sigma); rank 7."""
-    return list(_cohomology()[0])
-
-
-def one_minus_sigma_image() -> list[DivClass]:
-    """An integer basis of im(1 - sigma)."""
-    return list(_cohomology()[1])
+def _parity_code(coeffs) -> int:
+    """The 6-bit code of the parity vector of (d, m1, ..., m7); see the module docstring."""
+    bits = [c & 1 for c in coeffs]
+    if bits[0]:
+        bits = [1 - b for b in bits]
+    code = running = 0
+    for i, b in enumerate(bits[1:7]):
+        running ^= b
+        code |= running << i
+    return code
 
 
 def h1_galois() -> list[int]:
-    """Elementary divisors of ker(1 + sigma)/im(1 - sigma), units dropped."""
-    return list(_cohomology()[2])
+    """Elementary divisors of ker(1 + sigma)/im(1 - sigma), units dropped.
+
+    2 ker(1 + sigma) lies in im(1 - sigma), so the group is (Z/2)^k with 2^k
+    the number of its classes: the distinct codes of the even-weight parity
+    vectors, which are the parity vectors of the cocycles.  The code is
+    linear, and the seven vectors with two adjacent bits set span the
+    even-weight ones, so the codes are the span of those seven codes.
+    """
+    codes = {0}
+    for j in range(7):
+        step = _parity_code([int(i in (j, j + 1)) for i in range(8)])
+        codes |= {c ^ step for c in codes}
+    return [2] * (len(codes).bit_length() - 1)
 
 
 def _require_cocycle(d: DivClass) -> None:
@@ -218,19 +163,15 @@ def _require_cocycle(d: DivClass) -> None:
 
 
 def is_coboundary(d: DivClass) -> bool:
-    """Exact membership test for im(1 - sigma); requires d in ker(1 + sigma)."""
+    """Membership in im(1 - sigma): all eight coordinates even or all odd; d must be a cocycle."""
     _require_cocycle(d)
-    return _one_minus_solver()(list(d.coeffs)) is not None
+    return len({c & 1 for c in d.coeffs}) == 1
 
 
 def class_of(d: DivClass) -> CohClass:
     """Coordinates of a cocycle in the basis (e1, ..., e6) of H^1."""
     _require_cocycle(d)
-    code = 0
-    for c, coordinate_code in zip(d.coeffs, _cohomology()[3]):
-        if c & 1:
-            code ^= coordinate_code
-    return CohClass(code)
+    return CohClass(_parity_code(d.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ __all__ = [
     "conic_through",
     "cubic_with_node",
     "intersect",
+    "determinant",
     "canonical_class",
     "enumerate_exceptional",
     "classify",
     "coordinate_bounds",
     "classes_with",
+    "parse_integer",
     "parse_divisor",
     "format_divisor",
 ]
@@ -175,6 +177,25 @@ def intersect(a: DivClass, b: DivClass) -> int:
     return a.dot(b)
 
 
+def determinant(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in rows]
+    n, sign, previous = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            # exact: each entry is a minor of the original matrix
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 @lru_cache(maxsize=1)
 def _census() -> dict[DivClass, str]:
     """The 56 (-1)-curve classes in census order, each with its name E1..D7."""
@@ -284,10 +305,23 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
 #     H K L F 0 and the census names E1..E7 L12..L67 C12..C67 D1..D7
 #
 # e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace is ignored; the two indices
-# of an L or C token may come in either order, so "L21" is "L12".
+# of an L or C token may come in either order, so "L21" is "L12".  Every
+# integer, here and in the command line's other fields, is ASCII digits.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"([+-]?)(\d*)\*?([A-Za-z][0-9]*|0)")
+_TOKEN_RE = re.compile(r"([+-]?)([0-9]*)\*?([A-Za-z][0-9]*|0)")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """The integer that an optionally signed run of ASCII digits spells.
+
+    ``int`` alone also reads other scripts' digits (``int("\uff13") == 3``)
+    and underscores, which the grammar does not have.
+    """
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _token_class(tok: str) -> DivClass:
@@ -309,7 +343,7 @@ def parse_divisor(text: str) -> DivClass:
         if len(parts) != RANK:
             raise ValueError(f"coordinate vector needs {RANK} entries, got {len(parts)}")
         try:
-            return DivClass(tuple(int(p) for p in parts))
+            return DivClass(tuple(parse_integer(p) for p in parts))
         except ValueError as exc:
             raise ValueError(f"bad coordinate vector {text!r}") from exc
     total = ZERO

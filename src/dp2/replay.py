@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import Any, Callable
 
-from . import chern, cohom, galois, intlinalg, order, picard
+from . import chern, cohom, galois, order, picard
 from .errors import UnknownClaim
 from .galois import CohClass, class_of, is_coboundary, sigma
 from .picard import (
@@ -99,22 +99,26 @@ def _isometry_check() -> bool:
                for sa, a in zip(images, basis) for sb, b in zip(images, basis))
 
 
+def _h_and_e() -> list[DivClass]:
+    """The stated basis h, e1, ..., e6 of ker(1 + sigma)."""
+    return [galois.h_class()] + [galois.e_class(i) for i in range(1, 7)]
+
+
 def _kernel_generated_by_h_and_e() -> bool:
-    stated = [galois.h_class()] + [galois.e_class(i) for i in range(1, 7)]
-    return _same_lattice(galois.one_plus_sigma_kernel(), stated)
+    # ker(1 + sigma) = H-perp, whose discriminant in the unimodular Pic Y is
+    # H.H = 2; seven classes in H-perp span it exactly when their Gram
+    # determinant is +-2, as a sublattice of index n has n^2 times that
+    stated = _h_and_e()
+    gram = [[a.dot(b) for b in stated] for a in stated]
+    return all(d.dot(H) == 0 for d in stated) and abs(picard.determinant(gram)) == H.dot(H)
 
 
 def _image_generated_as_stated() -> bool:
-    doubled = [2 * d for d in [galois.h_class()] + [galois.e_class(i) for i in range(1, 7)]]
+    # by the parity rule, im(1 - sigma) is spanned by twice a kernel basis
+    # (GAL.KER.GEN) and any one coboundary that is odd in every coordinate
     special = galois.h_class() + galois.e_class(2) + galois.e_class(4) + galois.e_class(6)
-    return _same_lattice(galois.one_minus_sigma_image(), doubled + [special])
-
-
-def _same_lattice(gens_a: list[DivClass], gens_b: list[DivClass]) -> bool:
-    in_a = intlinalg.solver([[d.coeffs[i] for d in gens_a] for i in range(8)])
-    in_b = intlinalg.solver([[d.coeffs[i] for d in gens_b] for i in range(8)])
-    return (all(in_a(list(d.coeffs)) is not None for d in gens_b)
-            and all(in_b(list(d.coeffs)) is not None for d in gens_a))
+    stated = [2 * d for d in _h_and_e()] + [special]
+    return all(is_coboundary(d) for d in stated) and all(c % 2 for c in special.coeffs)
 
 
 def _all_differences_are_cocycles() -> bool:

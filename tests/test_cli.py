@@ -136,6 +136,10 @@ def test_cohom_les_infeasible(capsys):
     ("1,-1", "field 2 of '1,-1' is '-1': need a nonnegative integer or ?"),
     ("0, 2.5", "field 2 of '0, 2.5' is '2.5': need a nonnegative integer or ?"),
     ("??", "field 1 of '??' is '??': need a nonnegative integer or ?"),
+    # the grammar's integers are ASCII digits, not int()'s wider reading
+    ("\uff10,\uff11,?,\uff10",
+     "field 1 of '\uff10,\uff11,?,\uff10' is '\uff10': need a nonnegative integer or ?"),
+    ("1_0,?", "field 1 of '1_0,?' is '1_0': need a nonnegative integer or ?"),
 ])
 def test_cohom_les_usage_errors_name_the_field(capsys, dims, message):
     assert run(capsys, "cohom", "les", "--", dims) == (2, "", f"usage error: {message}\n")
@@ -156,6 +160,9 @@ def test_chern_pairing(capsys):
     (" ,H,0", "rank of ' ,H,0' is empty: need an integer"),
     ("1,H", "need rank,c1,c2 in '1,H'"),
     ("-1,H,0", "rank of '-1,H,0' is '-1': need a nonnegative integer"),
+    ("\uff12,F,\uff11", "rank of '\uff12,F,\uff11' is '\uff12': need an integer"),
+    ("1,H,\uff11", "c2 of '1,H,\uff11' is '\uff11': need an integer"),
+    ("1_0,H,0", "rank of '1_0,H,0' is '1_0': need an integer"),
 ])
 def test_chern_pairing_usage_errors_name_the_field(capsys, triple, message):
     assert run(capsys, "chern", "pairing", f"--lhs={triple}", "--rhs", "1,H,0") == (
@@ -245,6 +252,15 @@ def test_replay_unknown_claim(capsys):
 def test_bad_divisor_is_usage_error(capsys):
     code, out, err = run(capsys, "cohom", "dims", "Q5")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\uff13H", "cannot parse divisor expression '\uff13H' at '\uff13H'"),
+    ("\uff13,-1,-1,-1,-1,-1,-1,-1", "bad coordinate vector '\uff13,-1,-1,-1,-1,-1,-1,-1'"),
+    ("1_0,0,0,0,0,0,0,0", "bad coordinate vector '1_0,0,0,0,0,0,0,0'"),
+])
+def test_divisor_integers_are_ascii_digits(capsys, text, message):
+    assert run(capsys, "cohom", "h0", text) == (2, "", f"usage error: {message}\n")
 
 
 # L98 is named as typed, not with its indices sorted
@@ -422,7 +438,8 @@ def _random_divisor(rng):
 
 
 def _random_les(rng):
-    pieces = ["?", "0", "1", "3", "12", "-1", "", "x", "2.5", " 4 ", "??", "+2", "None", " "]
+    pieces = ["?", "0", "1", "3", "12", "-1", "", "x", "2.5", " 4 ", "??", "+2", "None", " ",
+              "\uff11", "1\uff12"]
     return ",".join(rng.choice(pieces) for _ in range(rng.randint(1, 7)))
 
 
@@ -455,7 +472,8 @@ def _random_argv(rng):
         for _ in range(2):
             fields = [str(rng.randint(-1, 4)), _random_divisor(rng), str(rng.randint(-9, 9))]
             if rng.random() < 0.15:  # a malformed rank or c2
-                fields[rng.choice((0, 2))] = rng.choice(["x", "2.5", "", " ", "None", "1e3"])
+                fields[rng.choice((0, 2))] = rng.choice(["x", "2.5", "", " ", "None", "1e3",
+                                                         "\uff12"])
             triples.append(",".join(fields))
         return ["chern", "pairing", f"--lhs={triples[0]}", f"--rhs={triples[1]}"]
     return ["cohom", "les", "--", _random_les(rng)]

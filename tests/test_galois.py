@@ -1,12 +1,13 @@
 import collections
+import functools
 import itertools
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import smith_normal_decomp, smith_normal_form
 
-from dp2 import galois, intlinalg
-from dp2.errors import InternalInconsistency, NotACocycle, TrivialClass
+from dp2 import galois
+from dp2.errors import NotACocycle, TrivialClass
 from dp2.galois import (
     CohClass,
     class_of,
@@ -15,8 +16,6 @@ from dp2.galois import (
     h1_galois,
     h_class,
     is_coboundary,
-    one_minus_sigma_image,
-    one_plus_sigma_kernel,
     printed_sigma_of_line,
     represent_as_difference,
     sigma,
@@ -85,50 +84,88 @@ def test_sigma_permutes_curves_in_28_transpositions():
         assert c + sigma(c) == H
 
 
+# the stated bases: h and the e_i span ker(1 + sigma); twice those and h + e2 + e4 + e6
+# span im(1 - sigma)
+KERNEL = [h_class()] + [e_class(i) for i in range(1, 7)]
+IMAGE = [2 * k for k in KERNEL] + [h_class() + e_class(2) + e_class(4) + e_class(6)]
+
+
+def random_cocycle(rng, bound=3):
+    """A random class with D.H = 3d + m1 + ... + m7 = 0, drawn without the stated basis."""
+    d, *m = [rng.randint(-bound, bound) for _ in range(7)]
+    return DivClass((d, *m, -3 * d - sum(m)))
+
+
+# 1 - sigma on the unit vectors of (L, E1..E7): generators of im(1 - sigma)
+IMAGE_COLUMNS = tuple(u - sigma(u) for u in (DivClass(tuple(int(i == j) for i in range(8)))
+                                             for j in range(8)))
+
+
+@functools.lru_cache(maxsize=None)
+def _span_test(columns):
+    """A test of membership in the integer span of ``columns``, from sympy's Smith form.
+
+    With S = U M V diagonal, M x = d has an integer solution exactly when
+    each entry of U d is divisible by the matching diagonal entry of S.
+    """
+    m = sympy.Matrix([[c.coeffs[i] for c in columns] for i in range(8)])
+    s, u, _ = smith_normal_decomp(m, domain=sympy.ZZ)
+    diagonal = [int(s[i, i]) if i < s.cols else 0 for i in range(8)]
+    rows = [[int(x) for x in u.row(i)] for i in range(8)]
+
+    def contains(d):
+        ud = [sum(a * b for a, b in zip(row, d.coeffs)) for row in rows]
+        return all(y % n == 0 if n else y == 0 for y, n in zip(ud, diagonal))
+
+    return contains
+
+
+def in_image(d):
+    """Whether (1 - sigma)x = d has an integer solution x: sympy's Smith form, not parity."""
+    return _span_test(IMAGE_COLUMNS)(d)
+
+
+def kernel_coordinates(d):
+    """The coordinates of d in h, e1..e6, solved by sympy over Q."""
+    basis = sympy.Matrix([list(k.coeffs) for k in KERNEL]).T
+    return list(basis.solve(sympy.Matrix(d.coeffs)))
+
+
 def test_kernel_membership_and_rank():
-    kernel = one_plus_sigma_kernel()
-    assert len(kernel) == 7
-    for gen in [h_class()] + [e_class(i) for i in range(1, 7)]:
+    for gen in KERNEL:
         assert sigma(gen) + gen == ZERO
-    # membership of the stated generators in the computed kernel lattice
-    cols = [[k.coeffs[i] for k in kernel] for i in range(8)]
-    for gen in [h_class()] + [e_class(i) for i in range(1, 7)]:
-        assert intlinalg.solver(cols)(list(gen.coeffs)) is not None
+    assert sympy.Matrix([list(k.coeffs) for k in KERNEL]).rank() == 7
 
 
 def test_kernel_is_h_perp():
     # derived: (1 + sigma)D = (D.H)H, so the kernel is exactly H-perp
-    for k in one_plus_sigma_kernel():
+    for k in KERNEL:
         assert intersect(k, H) == 0
 
 
-def test_kernel_lattice_equals_stated_generators():
-    kernel = one_plus_sigma_kernel()
-    stated = [h_class()] + [e_class(i) for i in range(1, 7)]
-    kc = [[d.coeffs[i] for d in kernel] for i in range(8)]
-    sc = [[d.coeffs[i] for d in stated] for i in range(8)]
-    assert all(intlinalg.solver(kc)(list(d.coeffs)) is not None for d in stated)
-    assert all(intlinalg.solver(sc)(list(d.coeffs)) is not None for d in kernel)
+def test_kernel_lattice_equals_stated_generators(rng):
+    # every cocycle has integer coordinates in h, e1..e6 (sympy solves over Q),
+    # and their Gram determinant is the discriminant H.H of H-perp
+    for _ in range(200):
+        assert all(c.is_integer for c in kernel_coordinates(random_cocycle(rng)))
+    gram = sympy.Matrix([[intersect(a, b) for b in KERNEL] for a in KERNEL])
+    assert gram.det() == -2 == -intersect(H, H)
 
 
 def test_image_membership():
-    image = one_minus_sigma_image()
-    cols = [[d.coeffs[i] for d in image] for i in range(8)]
-    assert intlinalg.solver(cols)(list((E(1) - cubic_with_node(1)).coeffs)) is not None
-    special = h_class() + e_class(2) + e_class(4) + e_class(6)
-    assert intlinalg.solver(cols)(list(special.coeffs)) is not None
-    for gen in [h_class()] + [e_class(i) for i in range(1, 7)]:
-        assert intlinalg.solver(cols)(list((2 * gen).coeffs)) is not None
+    assert in_image(E(1) - cubic_with_node(1))
+    for d in IMAGE:
+        assert in_image(d)
+        assert is_coboundary(d)
+    assert not in_image(e_class(1))
 
 
 def test_image_lattice_equals_stated_generators():
-    image = one_minus_sigma_image()
-    stated = [2 * h_class()] + [2 * e_class(i) for i in range(1, 7)]
-    stated.append(h_class() + e_class(2) + e_class(4) + e_class(6))
-    ic = [[d.coeffs[i] for d in image] for i in range(8)]
-    sc = [[d.coeffs[i] for d in stated] for i in range(8)]
-    assert all(intlinalg.solver(ic)(list(d.coeffs)) is not None for d in stated)
-    assert all(intlinalg.solver(sc)(list(d.coeffs)) is not None for d in image)
+    # both span the same lattice: the columns of 1 - sigma on the unit vectors
+    # lie in the span of the stated generators, which lie in the image
+    in_stated = _span_test(tuple(IMAGE))
+    assert all(in_stated(c) for c in IMAGE_COLUMNS)
+    assert all(in_image(d) for d in IMAGE)
 
 
 def test_h1_elementary_divisors():
@@ -149,10 +186,9 @@ def test_coboundary_examples():
 
 
 def test_twice_a_cocycle_is_a_coboundary(rng):
-    kernel = one_plus_sigma_kernel()
     for _ in range(100):
         d = ZERO
-        for k in kernel:
+        for k in KERNEL:
             d = d + rng.randint(-3, 3) * k
         assert is_coboundary(2 * d)
 
@@ -170,10 +206,9 @@ def test_class_of_basis_and_chains():
 def test_cocycle_test_agrees_with_applying_one_plus_sigma(rng):
     # oracle: sigma(d) + d == ZERO, on random classes and on random cocycles,
     # half of them knocked off ker(1 + sigma) by one unit vector
-    kernel = one_plus_sigma_kernel()
     classes = [DivClass(tuple(rng.randint(-5, 5) for _ in range(8))) for _ in range(300)]
     for _ in range(300):
-        d = sum((rng.randint(-3, 3) * k for k in kernel), ZERO)
+        d = sum((rng.randint(-3, 3) * k for k in KERNEL), ZERO)
         if rng.random() < 0.5:
             j = rng.randrange(8)
             d = d + DivClass(tuple(int(i == j) for i in range(8)))
@@ -193,11 +228,10 @@ def test_cocycle_test_agrees_with_applying_one_plus_sigma(rng):
 
 def test_class_of_matches_brute_force(rng):
     # independent oracle: subtract each subset of the e_i and test membership
-    # in im(1 - sigma) by exact solving; the inputs are 25 random cocycles and
-    # the 64 differences represent_as_difference picked, each checked against its code
-    kernel = one_plus_sigma_kernel()
+    # in im(1 - sigma) with sympy's Smith form; the inputs are 25 random cocycles
+    # and the 64 differences represent_as_difference picked, each checked against its code
     es = [e_class(i) for i in range(1, 7)]
-    cocycles = [(None, sum((rng.randint(-2, 2) * k for k in kernel), ZERO)) for _ in range(25)]
+    cocycles = [(None, random_cocycle(rng, 2)) for _ in range(25)]
     for code in range(64):
         e, eprime = represent_as_difference(CohClass(code))
         cocycles.append((code, e - eprime))
@@ -209,47 +243,37 @@ def test_class_of_matches_brute_force(rng):
             for b, e in zip(bits, es):
                 if b:
                     shifted = shifted - e
-            if is_coboundary(shifted):
+            if in_image(shifted):
                 hits.append(CohClass.from_bits(bits))
         assert hits == [class_of(d)]
         if code is not None:
             assert class_of(d).code == code
 
 
-@pytest.fixture
-def fresh_derivation():
-    caches = (galois._cohomology, galois._curve_codes)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def _e6_repeats_e5(monkeypatch):
-    real = galois.e_class
-    monkeypatch.setattr(galois, "e_class", lambda i: real(5) if i == 6 else real(i))
-
-
-def _rank_mod_2_drops_one(monkeypatch):
-    # the quotient would read as seven 2s
-    real = intlinalg.rank_mod_2
-    monkeypatch.setattr(intlinalg, "rank_mod_2", lambda rows: real(rows) - 1)
-
-
-@pytest.mark.parametrize("breakage", [_e6_repeats_e5, _rank_mod_2_drops_one])
-def test_derivation_checks_that_the_e_i_generate_h1(monkeypatch, fresh_derivation, breakage):
-    breakage(monkeypatch)
-    with pytest.raises(InternalInconsistency):
-        class_of(E(1) - E(2))
+def test_parity_rule_matches_smith_membership(rng):
+    # the parity rule against sympy on 2000 random cocycles and all 3136
+    # curve differences: d is a coboundary exactly when sympy finds it in the
+    # image, and d minus the e_i of its class always is; that class is the
+    # only one, as no nonzero sum of e_i is in the image (brute force above)
+    curves = enumerate_exceptional()
+    cocycles = [random_cocycle(rng, 6) for _ in range(2000)]
+    cocycles += [a - b for a, b in itertools.product(curves, repeat=2)]
+    assert len(cocycles) == 2000 + 3136
+    zero_classes = 0
+    for d in cocycles:
+        assert is_coboundary(d) == in_image(d), d
+        v = class_of(d)
+        zero_classes += v.is_zero()
+        rest = d - sum((e_class(i + 1) for i in range(6) if v.code >> i & 1), ZERO)
+        assert in_image(rest) and is_coboundary(rest), d
+    assert zero_classes > 50
 
 
 def test_class_of_is_additive(rng):
-    kernel = one_plus_sigma_kernel()
     for _ in range(200):
         d1 = ZERO
         d2 = ZERO
-        for k in kernel:
+        for k in KERNEL:
             d1 = d1 + rng.randint(-3, 3) * k
             d2 = d2 + rng.randint(-3, 3) * k
         assert class_of(d1 + d2).code == class_of(d1).code ^ class_of(d2).code
@@ -299,10 +323,10 @@ def test_disjoint_representative_all_classes():
 
 
 def test_h1_matches_sympy_smith_form():
-    # independent route: sympy solves for the image generators' kernel
-    # coordinates and takes the Smith normal form of that matrix over Z
-    kernel = sympy.Matrix([list(k.coeffs) for k in one_plus_sigma_kernel()]).T
-    coords = [list(kernel.solve(sympy.Matrix(img.coeffs))) for img in one_minus_sigma_image()]
+    # independent route: im(1 - sigma) from sigma on the eight unit vectors,
+    # its generators' coordinates in the kernel basis h, e1..e6 by sympy, and
+    # the Smith normal form of that matrix over Z
+    coords = [kernel_coordinates(c) for c in IMAGE_COLUMNS]
     assert all(c.is_integer for row in coords for c in row)
     snf = smith_normal_form(sympy.Matrix(coords), domain=sympy.ZZ)
     diagonal = [abs(int(snf[i, i])) for i in range(min(snf.shape))]
@@ -335,13 +359,11 @@ def test_roots_cover_each_nonzero_class_twice_and_the_form_descends():
     assert all(sigma(r) == -r for r in roots)
     assert collections.Counter(class_of(r).code for r in roots) == dict.fromkeys(range(1, 64), 2)
     # the intersection form mod 2 descends to H^1 = ker/im ...
-    assert all(intersect(k, m) % 2 == 0
-               for k in one_plus_sigma_kernel() for m in one_minus_sigma_image())
+    assert all(intersect(k, m) % 2 == 0 for k in KERNEL for m in IMAGE)
     # ... where on e_1..e_6 it is minus the A6 Cartan matrix: determinant 7,
     # so non-degenerate mod 2, and alternating since e_i.e_i = -2
     gram = [[intersect(e_class(i), e_class(j)) for j in range(1, 7)] for i in range(1, 7)]
     assert sympy.Matrix(gram).det() == 7
-    assert intlinalg.rank_mod_2(gram) == 6
 
 
 def test_sigma_is_the_longest_element_of_w_e7():

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 
 from dp2 import picard
 from dp2.errors import InternalInconsistency
@@ -217,6 +218,21 @@ def test_parse_raw_vector():
         parse_divisor("1,2,3")
     with pytest.raises(ValueError):
         parse_divisor("1,2,3,x,5,6,7,8")
+    assert parse_divisor("+3,-1,-1,-1,-1,-1,-1,-1") == H
+
+
+def test_determinant_matches_sympy(rng):
+    # picard.determinant (Bareiss) against sympy, including singular matrices
+    # and zero leading pivots
+    assert picard.determinant([]) == 1
+    for n in range(1, 8):
+        for _ in range(40):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:
+                m[rng.randrange(n)] = [0] * n
+            if rng.random() < 0.3:
+                m[0][0] = 0
+            assert picard.determinant(m) == sympy.Matrix(m).det(), m
 
 
 def test_parse_symbolic():
@@ -233,7 +249,9 @@ def test_parse_symbolic():
     assert parse_divisor("3*H") == 3 * H
 
 
-@pytest.mark.parametrize("bad", ["", "Q1", "E8", "E12", "L1", "L11", "D12", "2", "H+"])
+# the grammar's integers are ASCII digits: int() would read "\uff13" as 3 and "1_0" as 10
+@pytest.mark.parametrize("bad", ["", "Q1", "E8", "E12", "L1", "L11", "D12", "2", "H+", "\uff13H",
+                                 "\uff13,-1,-1,-1,-1,-1,-1,-1", "1_0,0,0,0,0,0,0,0"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_divisor(bad)

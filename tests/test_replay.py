@@ -96,10 +96,10 @@ def test_replay_runs_without_numpy():
 
 
 def test_one_claim_without_the_model_skips_the_derivation():
-    # CHI.OO needs neither the order model nor the galois derivation behind it
+    # CHI.OO needs neither the order model nor the curve codes behind it
     script = ("from dp2 import galois, order, replay\n"
               "assert replay.run_one('CHI.OO').passed\n"
-              "print(galois._cohomology.cache_info().currsize,"
+              "print(galois._curve_codes.cache_info().currsize,"
               " order.standard_model.cache_info().currsize)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)

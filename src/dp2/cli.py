@@ -63,42 +63,19 @@ def _parse_chern_triple(text: str) -> chern.ChernChar:
     parts = text.split(",")
     if len(parts) < 3:
         raise ValueError(f"need rank,c1,c2 in {text!r}")
-    rank = _integer_field("rank", parts[0], text)
-    c2 = _integer_field("c2", parts[-1], text)
+    # refused in this order: rank or c2 not an integer, c1, a negative rank
+    parse_integer("rank", parts[0], text)
+    c2 = parse_integer("c2", parts[-1], text)
     c1 = parse_divisor(",".join(parts[1:-1]))
-    if rank < 0:
-        raise ValueError(f"rank of {text!r} is {parts[0].strip()!r}: need a nonnegative integer")
+    rank = parse_integer("rank", parts[0], text, nonnegative=True)
     return chern.ch_of(rank, c1, c2)
-
-
-def _integer_field(name: str, piece: str, text: str) -> int:
-    """The integer in one field of ``text``; a refusal names the field as the user typed it."""
-    piece = piece.strip()
-    try:
-        return parse_integer(piece)
-    except ValueError:
-        shown = repr(piece) if piece else "empty"
-        raise ValueError(f"{name} of {text!r} is {shown}: need an integer") from None
 
 
 def _parse_les(text: str) -> list[int | None]:
     """Comma-separated dimensions with ? for unknowns; a blank text is the empty sequence."""
-    entries: list[int | None] = []
-    for field, piece in enumerate(text.split(",") if text.strip() else [], 1):
-        piece = piece.strip()
-        if piece == "?":
-            entries.append(None)
-            continue
-        try:
-            value = parse_integer(piece)
-        except ValueError:
-            value = None
-        if value is None or value < 0:
-            shown = repr(piece) if piece else "empty"
-            raise ValueError(f"field {field} of {text!r} is {shown}: "
-                             "need a nonnegative integer or ?")
-        entries.append(value)
-    return entries
+    return [None if piece.strip() == "?" else
+            parse_integer(f"field {field}", piece, text, nonnegative=True, alternative="?")
+            for field, piece in enumerate(text.split(",") if text.strip() else [], 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -306,22 +306,36 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
 #
 # e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace is ignored; the two indices
 # of an L or C token may come in either order, so "L21" is "L12".  Every
-# integer, here and in the command line's other fields, is ASCII digits.
+# integer field (a raw vector's entries here; the command line's rank, c2
+# and les fields) is ASCII digits, read by parse_integer, whose refusal
+# names the field: "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer".
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"([+-]?)([0-9]*)\*?([A-Za-z][0-9]*|0)")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_integer(text: str) -> int:
-    """The integer that an optionally signed run of ASCII digits spells.
+def parse_integer(field: str, piece: str, text: str, nonnegative: bool = False,
+                  alternative: str = "") -> int:
+    """The integer in the field ``piece`` of ``text``: an optionally signed run of ASCII digits.
 
-    ``int`` alone also reads other scripts' digits (``int("\uff13") == 3``)
-    and underscores, which the grammar does not have.
+    Whitespace around the piece is ignored.  Anything else is refused with
+    ``<field> of '<text>' is '<piece>': need an integer`` (``empty`` for a
+    blank piece), or ``a nonnegative integer`` when ``nonnegative`` also
+    refuses negatives, followed by `` or <alternative>`` when the caller
+    accepts one more spelling itself.  ``int`` alone also reads other
+    scripts' digits (``int("\uff13") == 3``) and underscores, which the
+    grammar does not have.
     """
-    if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    piece = piece.strip()
+    if _INTEGER_RE.fullmatch(piece):
+        value = int(piece)
+        if value >= 0 or not nonnegative:
+            return value
+    shown = repr(piece) if piece else "empty"
+    need = "a nonnegative integer" if nonnegative else "an integer"
+    raise ValueError(f"{field} of {text!r} is {shown}: need {need}"
+                     + (f" or {alternative}" if alternative else ""))
 
 
 def _token_class(tok: str) -> DivClass:
@@ -342,10 +356,8 @@ def parse_divisor(text: str) -> DivClass:
         parts = s.split(",")
         if len(parts) != RANK:
             raise ValueError(f"coordinate vector needs {RANK} entries, got {len(parts)}")
-        try:
-            return DivClass(tuple(parse_integer(p) for p in parts))
-        except ValueError as exc:
-            raise ValueError(f"bad coordinate vector {text!r}") from exc
+        return DivClass(tuple(parse_integer(f"entry {i}", p, text)
+                              for i, p in enumerate(parts, 1)))
     total = ZERO
     pos = 0
     while pos < len(s):

@@ -39,18 +39,12 @@ class ClaimReport(Value):
     def to_json(self) -> str:
         import json  # only --json output needs it
 
-        return json.dumps(self.to_dict(), sort_keys=True, default=_jsonable)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def status(self) -> str:
         if self.known_discrepancy:
             return "FLAG"
         return "PASS" if self.passed else "FAIL"
-
-
-def _jsonable(value: Any):
-    if isinstance(value, tuple):
-        return list(value)
-    return str(value)
 
 
 def failures(reports: list[ClaimReport]) -> list[ClaimReport]:

@@ -51,7 +51,7 @@ def test_criterion_1_exceptional_curve_census():
         assert c.selfint == -1
         assert intersect(c, H) == 1
     assert scanned == {c.coeffs for c in curves}
-    assert elapsed < 1.0
+    assert elapsed < 0.05  # about 1 ms in a fresh process on a 2-core VM
     _report(1, f"56 curves, families (7, 21, 21, 7), census = complete scan "
                f"in {elapsed:.3f}s")
 
@@ -103,7 +103,7 @@ def test_criterion_4_difference_representation():
     elapsed = time.perf_counter() - start
     assert str(class_of(conic_through(6, 7) - E(5))) == "101000"
     assert str(class_of(conic_through(6, 7) - E(6))) == "101010"
-    assert elapsed < 5.0
+    assert elapsed < 0.1  # about 2 ms in a fresh process on a 2-core VM
     _report(4, f"all 63 classes realized with disjoint representatives; both "
                f"worked chains verify; {elapsed:.3f}s")
 

@@ -256,8 +256,12 @@ def test_bad_divisor_is_usage_error(capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("\uff13H", "cannot parse divisor expression '\uff13H' at '\uff13H'"),
-    ("\uff13,-1,-1,-1,-1,-1,-1,-1", "bad coordinate vector '\uff13,-1,-1,-1,-1,-1,-1,-1'"),
-    ("1_0,0,0,0,0,0,0,0", "bad coordinate vector '1_0,0,0,0,0,0,0,0'"),
+    # a raw vector's refusal names its entry, like every other integer field
+    ("\uff13,-1,-1,-1,-1,-1,-1,-1",
+     "entry 1 of '\uff13,-1,-1,-1,-1,-1,-1,-1' is '\uff13': need an integer"),
+    ("1_0,0,0,0,0,0,0,0", "entry 1 of '1_0,0,0,0,0,0,0,0' is '1_0': need an integer"),
+    ("1,2,x,0,0,0,0,0", "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer"),
+    ("1,0,0,0,0,0,0,", "entry 8 of '1,0,0,0,0,0,0,' is empty: need an integer"),
 ])
 def test_divisor_integers_are_ascii_digits(capsys, text, message):
     assert run(capsys, "cohom", "h0", text) == (2, "", f"usage error: {message}\n")
@@ -437,6 +441,14 @@ def _random_divisor(rng):
     return text
 
 
+def _malformed_vector(rng):
+    # a raw vector with one entry that is not an ASCII integer
+    entries = [str(rng.randint(-6, 6)) for _ in range(8)]
+    entries[rng.randrange(8)] = rng.choice(["x", "", " ", "2.5", "1e3", "+", "--1", "None",
+                                            "\uff13", "1_0"])
+    return ",".join(entries)
+
+
 def _random_les(rng):
     pieces = ["?", "0", "1", "3", "12", "-1", "", "x", "2.5", " 4 ", "??", "+2", "None", " ",
               "\uff11", "1\uff12"]
@@ -447,12 +459,14 @@ _LES_ERROR = re.compile(r"error: no rank assignment for [0-9?, ]+\n"
                         r"|usage error: (empty sequence"
                         r"|field \d+ of '.*' is (empty|'.*'): need a nonnegative integer or \?)\n")
 
+_VECTOR_ERROR = re.compile(r"usage error: entry [1-8] of '.*' is (empty|'.*'): need an integer\n")
+
 _PAIRING_FIELD_ERROR = re.compile(
     r"usage error: (rank|c2) of '.*' is (empty|'.*'): need (an|a nonnegative) integer\n")
 
 
 def _random_argv(rng):
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         return ["cohom", rng.choice(["dims", "h0", "witness"]), "--", _random_divisor(rng)]
     if kind == 1:
@@ -476,6 +490,9 @@ def _random_argv(rng):
                                                          "\uff12"])
             triples.append(",".join(fields))
         return ["chern", "pairing", f"--lhs={triples[0]}", f"--rhs={triples[1]}"]
+    if kind == 5:
+        return [*rng.choice([["cohom", "dims"], ["cohom", "h0"], ["chern", "chi"]]), "--",
+                _malformed_vector(rng)]
     return ["cohom", "les", "--", _random_les(rng)]
 
 
@@ -501,9 +518,14 @@ def test_cli_fuzz_exits_with_documented_codes(capsys):
         if argv[1] == "les" and code:
             # les errors speak the command line's spelling, not Python's
             assert _LES_ERROR.fullmatch(err), (argv, err)
+        if argv[1] in ("dims", "h0", "witness", "chi") and "," in argv[-1] and code:
+            # a refused raw vector names its entry
+            assert _VECTOR_ERROR.fullmatch(err), (argv, err)
+            codes["vector entry"] += 1
         if argv[1] == "pairing" and code:
             assert "int()" not in err, (argv, err)
             codes["pairing field"] += bool(_PAIRING_FIELD_ERROR.fullmatch(err))
     # the sample reaches answers, domain errors and usage errors
     assert min(codes[0], codes[1], codes[2]) > 20, codes
     assert codes["pairing field"] > 5, codes
+    assert codes["vector entry"] > 20, codes

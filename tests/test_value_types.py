@@ -2,8 +2,7 @@
 
 Every value type subclasses ``errors.Value``, which derives the contract from
 its ``__slots__``: it compares and hashes by its field tuple, prints as
-``Name(field=value, ...)`` (``reporting`` falls back to ``str()`` for JSON,
-so the frozen replay output depends on it), refuses assignment and deletion,
+``Name(field=value, ...)``, refuses assignment and deletion,
 and copies and pickles through its constructor.  Each type checks its fields
 on construction in its own ``__init__``, its one constructor, and stores
 nothing beside them.  Every subclass of ``Value`` in the package must have a
@@ -136,6 +135,15 @@ def test_claim_report_passes_exactly_when_its_values_agree():
     assert ClaimReport("X", "d", "ref", 1, 2).status() == "FAIL"
     assert ClaimReport("X", "d", "ref", 1, 2, known_discrepancy=True).status() == "FLAG"
     assert not ClaimReport("X", "d", "ref", 1, 2, known_discrepancy=True).passed
+
+
+def test_claim_report_json_has_no_fallback_for_values():
+    # a report carries plain data: a value type in it is refused, not printed as str()
+    assert ClaimReport("X", "d", "ref", (1, 0), [1, 0]).to_json() == (
+        '{"computed": [1, 0], "description": "d", "expected": [1, 0], "id": "X", '
+        '"known_discrepancy": false, "paper_ref": "ref", "pass": false}')
+    with pytest.raises(TypeError):
+        ClaimReport("X", "d", "ref", "H", H).to_json()
 
 
 def test_order_model_ramification_is_computed_once(monkeypatch):

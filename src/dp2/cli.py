@@ -66,7 +66,10 @@ def _parse_chern_triple(text: str) -> chern.ChernChar:
     # refused in this order: rank or c2 not an integer, c1, a negative rank
     parse_integer("rank", parts[0], text)
     c2 = parse_integer("c2", parts[-1], text)
-    c1 = parse_divisor(",".join(parts[1:-1]))
+    try:
+        c1 = parse_divisor(",".join(parts[1:-1]))
+    except ValueError as exc:
+        raise ValueError(f"c1 of {text!r}: {exc}") from None
     rank = parse_integer("rank", parts[0], text, nonnegative=True)
     return chern.ch_of(rank, c1, c2)
 

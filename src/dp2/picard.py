@@ -304,14 +304,17 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
 #
 #     H K L F 0 and the census names E1..E7 L12..L67 C12..C67 D1..D7
 #
-# e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace is ignored; the two indices
-# of an L or C token may come in either order, so "L21" is "L12".  Every
-# integer field (a raw vector's entries here; the command line's rank, c2
-# and les fields) is ASCII digits, read by parse_integer, whose refusal
-# names the field: "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer".
+# e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace separates, it never joins:
+# spaces may surround a sign, a raw-vector entry or the whole text, but a
+# term ("2H", "3*E1", "L21") and an integer are written without them, so
+# "2 H", "L 2 1" and "1 0,0,0,0,0,0,0,0" are refused.  The two indices of an
+# L or C token may come in either order, so "L21" is "L12".  Every integer
+# field (a raw vector's entries here; the command line's rank, c2 and les
+# fields) is ASCII digits, read by parse_integer, whose refusal names the
+# field: "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer".
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"([+-]?)([0-9]*)\*?([A-Za-z][0-9]*|0)")
+_TOKEN_RE = re.compile(r"\s*([+-]?)\s*([0-9]*)\*?([A-Za-z][0-9]*|0)\s*")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -349,21 +352,20 @@ def _token_class(tok: str) -> DivClass:
 
 def parse_divisor(text: str) -> DivClass:
     """Parse the divisor-class grammar shared by all command line surfaces."""
-    s = re.sub(r"\s+", "", text)
-    if not s:
+    if not text.strip():
         raise ValueError("empty divisor expression")
-    if "," in s:
-        parts = s.split(",")
+    if "," in text:
+        parts = text.split(",")
         if len(parts) != RANK:
             raise ValueError(f"coordinate vector needs {RANK} entries, got {len(parts)}")
         return DivClass(tuple(parse_integer(f"entry {i}", p, text)
                               for i, p in enumerate(parts, 1)))
     total = ZERO
     pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
         if not m or (pos > 0 and m.group(1) == ""):
-            raise ValueError(f"cannot parse divisor expression {text!r} at {s[pos:]!r}")
+            raise ValueError(f"cannot parse divisor expression {text!r} at {text[pos:].strip()!r}")
         sign = -1 if m.group(1) == "-" else 1
         mult = int(m.group(2)) if m.group(2) else 1
         total = total + sign * mult * _token_class(m.group(3))

@@ -1,8 +1,10 @@
 """Registry of replayed claims and the machinery to run them.
 
-Every numerical statement that the package re-verifies is registered here as
-a claim with a stable identifier, an expected value, and a closure that
-recomputes it from scratch.  Claims are grouped by prefix:
+Every numerical statement that the package re-verifies is a claim with a
+stable identifier and an expected value.  A registry entry is one computation
+and the ids of the claims it settles: most settle one, and each of the order
+layer's three chains settles several in one call, with nothing kept between
+calls.  Claims are grouped by prefix:
 
     PIC.*    lattice census of the 56 exceptional curves
     SIG.*    the covering involution
@@ -30,7 +32,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from . import chern, cohom, galois, order, picard
-from .errors import UnknownClaim
+from .errors import InternalInconsistency, UnknownClaim
 from .galois import CohClass, class_of, is_coboundary, sigma
 from .picard import (
     DivClass,
@@ -46,22 +48,19 @@ from .picard import (
     intersect,
     line_through,
 )
-from .reporting import ClaimReport, failures, render_json_lines, render_text
+from .reporting import ClaimReport
 
-__all__ = ["ClaimReport", "all_claim_ids", "run_one", "run_all",
-           "failures", "render_text", "render_json_lines"]
+__all__ = ["ClaimReport", "all_claim_ids", "run_one", "run_all"]
 
-# a registered claim: its identifier and the thunk that recomputes its report
-Claim = tuple[str, Callable[[], ClaimReport]]
+# a registry entry: the ids of the claims that one computation settles, and
+# the thunk that runs it and returns their reports in that order
+Entry = tuple[tuple[str, ...], Callable[[], list[ClaimReport]]]
 
 
 def _claim(claim_id: str, description: str, paper_ref: str, expected: Any,
-           compute: Callable[[], Any], known_discrepancy: bool = False) -> Claim:
-    def produce() -> ClaimReport:
-        return ClaimReport(claim_id, description, paper_ref, expected, compute(),
-                           known_discrepancy)
-
-    return claim_id, produce
+           compute: Callable[[], Any], known_discrepancy: bool = False) -> Entry:
+    return (claim_id,), lambda: [ClaimReport(claim_id, description, paper_ref, expected,
+                                             compute(), known_discrepancy)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,78 +223,13 @@ def _model_payload(model: order.OrderModel) -> dict[str, Any]:
     }
 
 
-def _ramification_payload(model: order.OrderModel) -> dict[str, Any]:
-    names = []
-    slopes_one = True
-    totals_ok = True
-    induced_match = True
-    for generator, split in order.ramification(model):
-        names.append([picard.format_divisor(s) for s in split.summands])
-        slopes_one &= split.slopes == (1, 1)
-        totals_ok &= (split.rank, intersect(split.c1, H), split.c2) == (2, 2, 1)
-        induced = order.induced_split(generator, model)
-        induced_match &= set(split.summands) == set(induced.summands)
-    return {"splits": names, "slopes_all_one": slopes_one,
-            "chern_all_2_2_1": totals_ok, "induced_match": induced_match}
-
-
-def _case_iv_triple(model: order.OrderModel, i: int, j: int) -> list[int]:
-    ramification = order.ramification(model)
-    src = ramification[i - 1][0]
-    tgt = order.induced_split(ramification[j - 1][0], model)
-    return list(order.ext_a_induced(src, tgt))
-
-
-def _ext_y_between(model: order.OrderModel, i: int, j: int) -> list[int]:
-    ramification = order.ramification(model)
-    return list(order.ext_y_split(ramification[i - 1][1], ramification[j - 1][1]))
-
-
-def _exta2_payload(model: order.OrderModel) -> dict[str, Any]:
-    ext_y = _ext_y_between(model, 1, 2)
-    ext_a, twisted = order.decomposition_solve(tuple(ext_y))
-    return {"ext_y": ext_y, "ext2_A_forced": ext_a[2], "ext2_twisted_forced": twisted[2]}
-
-
-def _ext01_payload(model: order.OrderModel) -> dict[str, Any]:
-    selfpair = _ext_y_between(model, 1, 1)
-    crosspair = _ext_y_between(model, 1, 2)
-    return {"selfpair_ext0_eq_ext1": selfpair[0] == selfpair[1],
-            "crosspair_ext0_eq_ext1": crosspair[0] == crosspair[1],
-            "selfpair": selfpair[:2], "crosspair": crosspair[:2]}
-
-
-def _ks_case_ii_payload() -> dict[str, Any]:
-    # conditional on the cited stability of the non-split modules: the Y-level
-    # triple (1, 1, 0) and the tangent-space input ext^1_A = 1 are taken as
-    # stated, the arithmetic of the decomposition is what is verified
-    _, twisted = order.decomposition_solve((1, 1, 0), (None, 1, None))
-    return {"complement_ext1": twisted[1]}
-
-
-def _ks_split_payload(model: order.OrderModel) -> dict[str, Any]:
-    ext_y = _ext_y_between(model, 1, 1)
-    _, twisted = order.decomposition_solve(tuple(ext_y), (None, 1, None))
-    return {"ext_y": ext_y, "complement_ext1": twisted[1]}
-
-
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _chain_reports(chain: Callable[[order.OrderModel], list[ClaimReport]]
-                   ) -> dict[str, ClaimReport]:
-    return {r.id: r for r in chain(order.standard_model())}
-
-
-def _from_chain(chain: Callable[[order.OrderModel], list[ClaimReport]], claim_id: str) -> Claim:
-    return claim_id, lambda: _chain_reports(chain)[claim_id]
-
-
 @lru_cache(maxsize=1)
-def _registry() -> list[Claim]:
+def _registry() -> list[Entry]:
     e3e1 = E(3) - E(1)
     l23e1 = line_through(2, 3) - E(1)
     # the model is built (once, cached) only when a claim that needs it runs
@@ -537,71 +471,41 @@ def _registry() -> list[Claim]:
                {"e": "E1", "eprime": "C12", "sigma_eprime": "L12", "disjoint": True,
                 "f_is_F": True, "f_square": 0, "f_degree": 2, "c1_constraint_n": 1},
                lambda: _model_payload(model())),
-        _claim("RAM.SPLITS",
-               "the six split modules over the branch points of the moduli curve",
-               "split restrictions at the ramification points",
-               {"splits": [["E1", "L12"], ["L23", "E3"], ["L24", "E4"],
-                           ["L25", "E5"], ["L26", "E6"], ["L27", "E7"]],
-                "slopes_all_one": True, "chern_all_2_2_1": True, "induced_match": True},
-               lambda: _ramification_payload(model())),
-        _claim("EXTA1.IV", "Ext_A between the first two branch-point modules vanishes",
-               "branch-pair computation, fully worked case",
-               [0, 0, 0], lambda: _case_iv_triple(model(), 1, 2)),
-        _claim("EXTA1.IV.B", "Ext_A between branch-point modules 1 and 3 vanishes",
-               "derived", [0, 0, 0], lambda: _case_iv_triple(model(), 1, 3)),
-        _claim("EXTA1.IV.C", "Ext_A between branch-point modules 2 and 3 vanishes",
-               "derived", [0, 0, 0], lambda: _case_iv_triple(model(), 2, 3)),
-        _claim("EXTA2.ZERO",
-               "vanishing Y-level Ext forces both A-level summands to vanish",
-               "degree-2 vanishing through the endomorphism decomposition",
-               {"ext_y": [0, 0, 0], "ext2_A_forced": 0, "ext2_twisted_forced": 0},
-               lambda: _exta2_payload(model())),
-        _claim("EXT01.EQ", "ext^0 = ext^1 at the Y level for module pairs",
-               "equality of Hom and first Ext dimensions for the moduli modules",
-               {"selfpair_ext0_eq_ext1": True, "crosspair_ext0_eq_ext1": True,
-                "selfpair": [2, 2], "crosspair": [0, 0]},
-               lambda: _ext01_payload(model())),
-        _claim("KS.CASEII",
-               "(conditional on cited stability) Y-level ext^1 = 1 with tangent input 1 "
-               "forces the untwisted A-level ext^1 to 0",
-               "swapped-point case of the first-Ext vanishing",
-               {"complement_ext1": 0}, _ks_case_ii_payload),
-        _claim("KS.SPLIT",
-               "at a branch point, ext^1_Y = 2 and tangent input 1 leave exactly one "
-               "twisted first-order deformation",
-               "tangent-space bookkeeping at the branch points",
-               {"ext_y": [2, 2, 0], "complement_ext1": 1},
-               lambda: _ks_split_payload(model())),
-        _from_chain(order.replay_exceptional, "ORD.EXC.HL"),
-        _from_chain(order.replay_exceptional, "ORD.EXC"),
-        _from_chain(order.replay_exceptional, "ORD.CANON"),
-        _from_chain(order.replay_orthogonality, "ORTH.I0"),
-        _from_chain(order.replay_orthogonality, "ORTH.I2"),
-        _from_chain(order.replay_orthogonality, "ORTH.H1MH"),
-        _from_chain(order.replay_orthogonality, "ORTH.EXT2HO"),
-        _from_chain(order.replay_orthogonality, "L53"),
-        _from_chain(order.replay_orthogonality, "ORTH.I1"),
+        (("RAM.SPLITS", "EXTA1.IV", "EXTA1.IV.B", "EXTA1.IV.C", "EXTA2.ZERO", "EXT01.EQ",
+          "KS.CASEII", "KS.SPLIT"), lambda: order.replay_branch_points(model())),
+        (("ORD.EXC.HL", "ORD.EXC", "ORD.CANON"), lambda: order.replay_exceptional(model())),
+        (("ORTH.I0", "ORTH.I2", "ORTH.H1MH", "ORTH.EXT2HO", "L53", "ORTH.I1"),
+         lambda: order.replay_orthogonality(model())),
     ]
-    ids = [claim_id for claim_id, _ in claims]
+    ids = [claim_id for entry_ids, _ in claims for claim_id in entry_ids]
     if len(ids) != len(set(ids)):
         raise AssertionError("duplicate claim identifiers in the registry")
     return claims
 
 
+def _reports(entry: Entry) -> list[ClaimReport]:
+    """Run one entry; its reports must carry its registered ids, in that order."""
+    ids, produce = entry
+    reports = produce()
+    if tuple(r.id for r in reports) != ids:
+        raise InternalInconsistency(f"entry {list(ids)} reported {[r.id for r in reports]}")
+    return reports
+
+
 def all_claim_ids() -> list[str]:
-    return [claim_id for claim_id, _ in _registry()]
+    return [claim_id for ids, _ in _registry() for claim_id in ids]
 
 
 def run_one(claim_id: str) -> ClaimReport:
-    for registered_id, produce in _registry():
-        if registered_id == claim_id:
-            return produce()
+    """The report of one claim; the entry that settles it runs whole."""
+    for entry in _registry():
+        if claim_id in entry[0]:
+            return _reports(entry)[entry[0].index(claim_id)]
     raise UnknownClaim(claim_id)
 
 
 def run_all(prefix: str | None = None) -> list[ClaimReport]:
-    reports = []
-    for claim_id, produce in _registry():
-        if prefix is None or claim_id.startswith(prefix):
-            reports.append(produce())
-    return reports
+    """The reports whose ids start with ``prefix``; an entry runs once if any of its ids does."""
+    prefix = prefix or ""
+    return [r for entry in _registry() if any(i.startswith(prefix) for i in entry[0])
+            for r in _reports(entry) if r.id.startswith(prefix)]

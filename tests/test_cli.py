@@ -152,7 +152,7 @@ def test_chern_pairing(capsys):
     assert payload["lhs"]["ch2_times_2"] == -2
 
 
-# rank and c2 errors name the field as typed, not Python's int() text
+# rank, c1 and c2 errors name the field as typed, not Python's int() text
 @pytest.mark.parametrize("triple, message", [
     ("x,H,0", "rank of 'x,H,0' is 'x': need an integer"),
     ("1,H,2.5", "c2 of '1,H,2.5' is '2.5': need an integer"),
@@ -163,6 +163,11 @@ def test_chern_pairing(capsys):
     ("\uff12,F,\uff11", "rank of '\uff12,F,\uff11' is '\uff12': need an integer"),
     ("1,H,\uff11", "c2 of '1,H,\uff11' is '\uff11': need an integer"),
     ("1_0,H,0", "rank of '1_0,H,0' is '1_0': need an integer"),
+    # a c1 refusal names its field and the argument as typed, then the divisor's own refusal
+    ("1,1,2,x,0,0,0,0,0,0",
+     "c1 of '1,1,2,x,0,0,0,0,0,0': entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer"),
+    ("1,E9,0", "c1 of '1,E9,0': unknown divisor token 'E9'"),
+    ("1,,0", "c1 of '1,,0': empty divisor expression"),
 ])
 def test_chern_pairing_usage_errors_name_the_field(capsys, triple, message):
     assert run(capsys, "chern", "pairing", f"--lhs={triple}", "--rhs", "1,H,0") == (

@@ -16,6 +16,7 @@ from dp2.order import (
     hom_vanishing_by_det,
     induced_split,
     ramification,
+    replay_branch_points,
     replay_exceptional,
     replay_orthogonality,
     serre_twist,
@@ -242,6 +243,22 @@ def test_branch_point_exts_on_every_order():
             assert triple[0] - triple[1] + triple[2] == chi == 0, (code, src, tgt)
         for _, split in ramification(model):
             assert ext_y_split(split, split) == (2, 2, 0)
+
+
+BRANCH_POINT_IDS = ["RAM.SPLITS", "EXTA1.IV", "EXTA1.IV.B", "EXTA1.IV.C",
+                    "EXTA2.ZERO", "EXT01.EQ", "KS.CASEII", "KS.SPLIT"]
+
+
+def test_replay_branch_points_on_every_order():
+    # every claim but RAM.SPLITS, whose expected curve names are the standard
+    # gauge's, holds on the disjoint representative of each of the 63 orders
+    for code in range(1, 64):
+        model = OrderModel(*disjoint_representative(CohClass(code)))
+        reports = replay_branch_points(model)
+        assert [r.id for r in reports] == BRANCH_POINT_IDS, code
+        assert [r.id for r in reports if not r.passed] in ([], ["RAM.SPLITS"]), code
+        ram = reports[0].computed
+        assert ram["slopes_all_one"] and ram["chern_all_2_2_1"] and ram["induced_match"], code
 
 
 def test_replay_exceptional_reports():

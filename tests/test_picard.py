@@ -214,6 +214,7 @@ def test_census_refuses_a_class_that_is_not_a_curve(monkeypatch):
 def test_parse_raw_vector():
     assert parse_divisor("3,-1,-1,-1,-1,-1,-1,-1") == H
     assert parse_divisor(" 0,0,0,0,0,0,0,0 ") == ZERO
+    assert parse_divisor("3, -1,-1 ,-1,-1,-1,-1,-1") == H  # spaces around an entry
     with pytest.raises(ValueError):
         parse_divisor("1,2,3")
     with pytest.raises(ValueError):
@@ -242,16 +243,22 @@ def test_parse_symbolic():
     assert parse_divisor("2H-3E1+L23") == 2 * H - 3 * E(1) + line_through(2, 3)
     assert parse_divisor("F") == E(1) + line_through(1, 2)
     assert parse_divisor("F-H") == F - H
-    assert parse_divisor(" L 2 1 ") == line_through(1, 2)  # whitespace and index order
+    assert parse_divisor(" L21 ") == line_through(1, 2)  # whitespace and index order
+    # spaces may surround a sign or the whole text
+    assert parse_divisor(" 2H - 3E1 + L23 ") == 2 * H - 3 * E(1) + line_through(2, 3)
+    assert parse_divisor("- H") == -H
     assert parse_divisor("C67-E5") == conic_through(6, 7) - E(5)
     assert parse_divisor("D7") == cubic_with_node(7)
     assert parse_divisor("0") == ZERO
     assert parse_divisor("3*H") == 3 * H
 
 
-# the grammar's integers are ASCII digits: int() would read "\uff13" as 3 and "1_0" as 10
+# the grammar's integers are ASCII digits: int() would read "\uff13" as 3 and "1_0" as 10;
+# whitespace separates, it never joins the digits of an integer or the parts of a term
 @pytest.mark.parametrize("bad", ["", "Q1", "E8", "E12", "L1", "L11", "D12", "2", "H+", "\uff13H",
-                                 "\uff13,-1,-1,-1,-1,-1,-1,-1", "1_0,0,0,0,0,0,0,0"])
+                                 "\uff13,-1,-1,-1,-1,-1,-1,-1", "1_0,0,0,0,0,0,0,0",
+                                 "1 0,0,0,0,0,0,0,0", "1 0L", " L 2 1 ", "2 H", "3 * H",
+                                 "3* H", "- 1,0,0,0,0,0,0,0", "2H 3E1"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_divisor(bad)

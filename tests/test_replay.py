@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from dp2 import galois, replay
-from dp2.errors import UnknownClaim
+from dp2 import galois, order, replay
+from dp2.errors import InternalInconsistency, UnknownClaim
 from dp2.galois import sigma
 from dp2.picard import ZERO, L
+from dp2.reporting import failures, render_json_lines, render_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +24,7 @@ def test_all_claims_pass_except_the_flagged_one(reports):
     bad = [r for r in reports if not r.passed]
     assert [r.id for r in bad] == ["SIGMA.FORMULA-DISCREPANCY"]
     assert bad[0].known_discrepancy
-    assert replay.failures(reports) == []
+    assert failures(reports) == []
 
 
 def test_exactly_one_known_discrepancy(reports):
@@ -58,14 +59,66 @@ def test_filter_prefix():
                                       "ORTH.EXT2HO", "ORTH.I1"]
 
 
+CHAINS = {
+    "replay_branch_points": ["RAM.SPLITS", "EXTA1.IV", "EXTA1.IV.B", "EXTA1.IV.C",
+                             "EXTA2.ZERO", "EXT01.EQ", "KS.CASEII", "KS.SPLIT"],
+    "replay_exceptional": ["ORD.EXC.HL", "ORD.EXC", "ORD.CANON"],
+    "replay_orthogonality": ["ORTH.I0", "ORTH.I2", "ORTH.H1MH", "ORTH.EXT2HO", "L53", "ORTH.I1"],
+}
+
+
+def test_two_full_replays_run_each_chain_and_ramification_twice(monkeypatch):
+    # an entry runs once per run_all, and nothing is kept between calls
+    calls = []
+    for name in [*CHAINS, "ramification"]:
+        real = getattr(order, name)
+        monkeypatch.setattr(order, name, lambda model, name=name, real=real:
+                            calls.append(name) or real(model))
+    first, second = replay.run_all(), replay.run_all()
+    assert first == second
+    assert sorted(calls) == sorted(2 * [*CHAINS, "ramification"])
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+@pytest.mark.parametrize("damage", ["drop", "reorder"])
+def test_a_chain_that_misreports_its_ids_is_refused(monkeypatch, chain, damage):
+    real = getattr(order, chain)
+
+    def damaged(model):
+        reports = real(model)
+        return reports[1:] if damage == "drop" else reports[::-1]
+
+    monkeypatch.setattr(order, chain, damaged)
+    with pytest.raises(InternalInconsistency):
+        replay.run_all()
+    with pytest.raises(InternalInconsistency):
+        replay.run_one(CHAINS[chain][-1])
+
+
+# test_filter_prefix covers "ORTH.", which keeps five of its chain's six reports
+@pytest.mark.parametrize("prefix, ids", [
+    ("L5", ["L53"]),
+    ("EXTA1.", ["EXTA1.IV", "EXTA1.IV.B", "EXTA1.IV.C"]),
+    ("KS.", ["KS.CASEII", "KS.SPLIT"]),
+    ("ORD.", ["ORD.MODEL", "ORD.EXC.HL", "ORD.EXC", "ORD.CANON"]),
+])
+def test_filter_keeps_only_the_matching_reports_of_a_chain(prefix, ids):
+    assert [r.id for r in replay.run_all(prefix)] == ids
+
+
+@pytest.mark.parametrize("claim_id", [i for chain in CHAINS.values() for i in chain])
+def test_run_one_of_a_chain_claim_equals_its_full_replay_report(reports, claim_id):
+    assert replay.run_one(claim_id) == {r.id: r for r in reports}[claim_id]
+
+
 def test_output_is_deterministic(reports):
     again = replay.run_all()
-    assert replay.render_text(reports) == replay.render_text(again)
-    assert replay.render_json_lines(reports) == replay.render_json_lines(again)
+    assert render_text(reports) == render_text(again)
+    assert render_json_lines(reports) == render_json_lines(again)
 
 
 def test_json_lines_schema(reports):
-    for line in replay.render_json_lines(reports).splitlines():
+    for line in render_json_lines(reports).splitlines():
         payload = json.loads(line)
         assert set(payload) == {"id", "description", "expected", "computed",
                                 "pass", "paper_ref", "known_discrepancy"}
@@ -73,7 +126,7 @@ def test_json_lines_schema(reports):
 
 
 def test_render_text_summary(reports):
-    text = replay.render_text(reports)
+    text = render_text(reports)
     assert text.splitlines()[-1].startswith(f"{len(reports)} claims:")
     assert "FLAG SIGMA.FORMULA-DISCREPANCY" in text
     assert "0 failed" in text

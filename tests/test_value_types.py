@@ -146,18 +146,6 @@ def test_claim_report_json_has_no_fallback_for_values():
         ClaimReport("X", "d", "ref", "H", H).to_json()
 
 
-def test_order_model_ramification_is_computed_once(monkeypatch):
-    # order.ramification caches the last model's answer; an equal model hits it
-    model = OrderModel(E(1), conic_through(1, 2))
-    calls = []
-    real = order.enumerate_exceptional
-    monkeypatch.setattr(order, "enumerate_exceptional", lambda: calls.append(1) or real())
-    order.ramification.cache_clear()
-    first = order.ramification(model)
-    assert order.ramification(standard_model()) is first
-    assert len(calls) == 1
-
-
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -173,9 +161,11 @@ def test_every_value_type_has_a_case():
 
 
 def test_cached_ramification_is_not_a_field():
+    # ramification is computed from the model each time and kept nowhere
     model = OrderModel(E(1), conic_through(1, 2))
     before = (repr(model), hash(model))
     assert order.ramification(model)
+    assert not hasattr(order.ramification, "cache_info")
     assert not hasattr(model, "__dict__")  # the model has nowhere to keep it
     assert (repr(model), hash(model)) == before
     assert model == standard_model()

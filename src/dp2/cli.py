@@ -237,12 +237,11 @@ def _cmd_order_ext(args) -> int:
 
     src = _parse_split(args.src)
     tgt = _parse_split(args.tgt)
-    if args.induced:
-        if src.rank != 1:
-            raise ValueError("--induced needs a single generator class as --src")
-        level, triple = "A", order.ext_a_induced(src.summands[0], tgt)
-    else:
-        level, triple = "Y", order.ext_y_split(src, tgt)
+    if args.induced and src.rank != 1:
+        raise ValueError("--induced needs a single generator class as --src")
+    # by adjunction, Ext_A out of A x O(D) is Ext_Y out of O(D): one sum for both levels
+    level = "A" if args.induced else "Y"
+    triple = order.ext_y_split(src, tgt)
     payload = {"src": str(src), "tgt": str(tgt), "level": level, "ext": list(triple)}
     return _emit(args, payload, f"ext_{level}({src}, {tgt}) = {triple}")
 

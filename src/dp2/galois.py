@@ -158,7 +158,7 @@ def h1_galois() -> list[int]:
 
 def _require_cocycle(d: DivClass) -> None:
     # (1 + sigma)d = (d.H) H, which vanishes exactly when d.H does
-    if d.dot(H) != 0:
+    if intersect(d, H) != 0:
         raise NotACocycle(f"(1+sigma) does not kill {format_divisor(d)}")
 
 

@@ -34,8 +34,6 @@ right-orthogonal to it, and the Ext bookkeeping over the six branch points.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
 from .cohom import chi_line, cohom_dims, h0, h1, h2, les_solve
 from .errors import Infeasible, Value
@@ -115,7 +113,6 @@ class OrderModel(Value):
         return ch_of(2, self.f, 1)
 
 
-@lru_cache(maxsize=1)
 def standard_model() -> OrderModel:
     """The gauge (E, E') = (E1, C12), so that sigma(E') = L12 and F = E1 + L12."""
     return OrderModel(E(1), conic_through(1, 2))
@@ -182,8 +179,15 @@ def induced_split(d: DivClass, model: OrderModel) -> SplitBundle:
 
 
 def ext_y_split(src: SplitBundle, tgt: SplitBundle) -> Triple:
-    """Y-level Ext between sums of line bundles: sums of h^i of differences."""
-    return _summed_dims(b - a for a in src.summands for b in tgt.summands)
+    """Y-level Ext between sums of line bundles: sums of h^i(B - A) over A in src, B in tgt."""
+    h0s = h1s = h2s = 0
+    for a in src.summands:
+        for b in tgt.summands:
+            dd = cohom_dims(b - a)
+            h0s += dd.h0
+            h1s += dd.h1
+            h2s += dd.h2
+    return (h0s, h1s, h2s)
 
 
 def ext_a_induced(d: DivClass, tgt: SplitBundle) -> Triple:
@@ -193,18 +197,7 @@ def ext_a_induced(d: DivClass, tgt: SplitBundle) -> Triple:
     N of h^i(B - D).  The caller is responsible for ``tgt`` being the
     Y-restriction of an actual A-module; this is recorded, not checked.
     """
-    return _summed_dims(b - d for b in tgt.summands)
-
-
-def _summed_dims(classes) -> Triple:
-    """(sum of h0, sum of h1, sum of h2) over the given line-bundle classes."""
-    h0s = h1s = h2s = 0
-    for c in classes:
-        dd = cohom_dims(c)
-        h0s += dd.h0
-        h1s += dd.h1
-        h2s += dd.h2
-    return (h0s, h1s, h2s)
+    return ext_y_split(SplitBundle((d,)), tgt)
 
 
 def decomposition_solve(ext_y: Triple, known_a: PartialTriple = (None, None, None)

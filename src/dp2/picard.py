@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from functools import lru_cache
 
 from .errors import InternalInconsistency, Value
@@ -41,7 +42,6 @@ __all__ = [
     "cubic_with_node",
     "intersect",
     "determinant",
-    "canonical_class",
     "enumerate_exceptional",
     "classify",
     "coordinate_bounds",
@@ -92,14 +92,9 @@ class DivClass(Value):
 
     __rmul__ = __mul__
 
-    def dot(self, other: "DivClass") -> int:
-        """Intersection number in the diagonal form diag(+1, -1, ..., -1)."""
-        a, b = self.coeffs, other.coeffs
-        return a[0] * b[0] - sum(a[i] * b[i] for i in range(1, RANK))
-
     @property
     def selfint(self) -> int:
-        return self.dot(self)
+        return intersect(self, self)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -162,19 +157,15 @@ def cubic_with_node(i: int) -> DivClass:
     return _curve_class(3, -1, -2, i)
 
 
-def canonical_class() -> DivClass:
-    """K = -3L + E1 + ... + E7; satisfies K.K = 2 and K.E = -1 for every (-1)-curve E."""
-    return DivClass((-3, 1, 1, 1, 1, 1, 1, 1))
-
-
-K = canonical_class()
+K = DivClass((-3, 1, 1, 1, 1, 1, 1, 1))  # K.K = 2 and K.E = -1 for every (-1)-curve E
 H = -K  # halved anticanonical class; pullback of a line under the double cover; H.H = 2
 F = E(1) + line_through(1, 2)  # E1 + L12, the fibre-type class of the standard order model
 
 
 def intersect(a: DivClass, b: DivClass) -> int:
-    """Intersection pairing; symmetric and bilinear."""
-    return a.dot(b)
+    """Intersection number in the diagonal form diag(+1, -1, ..., -1); symmetric and bilinear."""
+    x, y = a.coeffs, b.coeffs
+    return x[0] * y[0] - sum(x[i] * y[i] for i in range(1, RANK))
 
 
 def determinant(rows: list[list[int]]) -> int:
@@ -204,7 +195,7 @@ def _census() -> dict[DivClass, str]:
     census.update({line_through(i, j): f"L{i}{j}" for i, j in pairs})
     census.update({conic_through(i, j): f"C{i}{j}" for i, j in pairs})
     census.update({cubic_with_node(i): f"D{i}" for i in range(1, 8)})
-    if len(census) != 56 or any(c.selfint != -1 or c.dot(H) != 1 for c in census):
+    if len(census) != 56 or any(c.selfint != -1 or intersect(c, H) != 1 for c in census):
         raise InternalInconsistency("the census holds a class that is not a (-1)-curve of degree 1")
     return census
 
@@ -245,7 +236,7 @@ def coordinate_bounds(degree: int, selfint: int) -> list[tuple[int, int]] | None
         return None
     bounds = []
     for x in [L] + [E(i) for i in range(1, 8)]:
-        xh = x.dot(H)
+        xh = intersect(x, H)
         # |2 D.X - k X.H| <= isqrt(slack * ((X.H)^2 - 2 X.X))
         r = math.isqrt(slack * (xh * xh - 2 * x.selfint))
         lo, hi = -((r - degree * xh) // 2), (degree * xh + r) // 2
@@ -304,17 +295,20 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
 #
 #     H K L F 0 and the census names E1..E7 L12..L67 C12..C67 D1..D7
 #
-# e.g. "2H-3E1+L23", "F-H", "-H".  Whitespace separates, it never joins:
-# spaces may surround a sign, a raw-vector entry or the whole text, but a
-# term ("2H", "3*E1", "L21") and an integer are written without them, so
+# e.g. "2H-3E1+L23", "F-H", "-H".  The token 0 takes no multiplier, so a
+# digit run such as "10", "00" or "2*0" is refused, not read as a multiple of
+# zero; "0H" is the multiplier 0 times H.  Whitespace separates, it never
+# joins: spaces may surround a sign, a raw-vector entry or the whole text, but
+# a term ("2H", "3*E1", "L21") and an integer are written without them, so
 # "2 H", "L 2 1" and "1 0,0,0,0,0,0,0,0" are refused.  The two indices of an
 # L or C token may come in either order, so "L21" is "L12".  Every integer
-# field (a raw vector's entries here; the command line's rank, c2 and les
-# fields) is ASCII digits, read by parse_integer, whose refusal names the
-# field: "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer".
+# field (a multiplier and a raw vector's entries here; the command line's
+# rank, c2 and les fields) is ASCII digits, read by parse_integer, whose
+# refusal names the field: "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an
+# integer".
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([+-]?)\s*([0-9]*)\*?([A-Za-z][0-9]*|0)\s*")
+_TOKEN_RE = re.compile(r"\s*([+-]?)\s*(?:([0-9]*)\*?([A-Za-z][0-9]*)|(0))\s*")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -328,15 +322,21 @@ def parse_integer(field: str, piece: str, text: str, nonnegative: bool = False,
     refuses negatives, followed by `` or <alternative>`` when the caller
     accepts one more spelling itself.  ``int`` alone also reads other
     scripts' digits (``int("\uff13") == 3``) and underscores, which the
-    grammar does not have.
+    grammar does not have.  A run longer than the interpreter converts
+    (``sys.get_int_max_str_digits()``) is refused in the same form, with
+    ``need an integer of at most <limit> digits``.
     """
     piece = piece.strip()
-    if _INTEGER_RE.fullmatch(piece):
-        value = int(piece)
-        if value >= 0 or not nonnegative:
-            return value
-    shown = repr(piece) if piece else "empty"
     need = "a nonnegative integer" if nonnegative else "an integer"
+    if _INTEGER_RE.fullmatch(piece):
+        try:
+            value = int(piece)
+        except ValueError:  # the run has more digits than int() converts
+            need += f" of at most {sys.get_int_max_str_digits()} digits"
+        else:
+            if value >= 0 or not nonnegative:
+                return value
+    shown = repr(piece) if piece else "empty"
     raise ValueError(f"{field} of {text!r} is {shown}: need {need}"
                      + (f" or {alternative}" if alternative else ""))
 
@@ -367,8 +367,8 @@ def parse_divisor(text: str) -> DivClass:
         if not m or (pos > 0 and m.group(1) == ""):
             raise ValueError(f"cannot parse divisor expression {text!r} at {text[pos:].strip()!r}")
         sign = -1 if m.group(1) == "-" else 1
-        mult = int(m.group(2)) if m.group(2) else 1
-        total = total + sign * mult * _token_class(m.group(3))
+        mult = parse_integer("multiplier", m.group(2), text) if m.group(2) else 1
+        total = total + sign * mult * _token_class(m.group(3) or m.group(4))
         pos = m.end()
     return total
 

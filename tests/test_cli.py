@@ -200,6 +200,11 @@ def test_order_ext(capsys):
     assert payload["ext"] == [1, 0, 0]
 
 
+def test_order_ext_induced_needs_one_generator(capsys):
+    assert run(capsys, "order", "ext", "--src", "H;F", "--tgt", "H", "--induced") == (
+        2, "", "usage error: --induced needs a single generator class as --src\n")
+
+
 def test_order_replay(capsys):
     # the CLI and the registry both run the chains on the standard model, so
     # each report line equals the line with its id in the frozen replay output
@@ -270,6 +275,27 @@ def test_bad_divisor_is_usage_error(capsys):
 ])
 def test_divisor_integers_are_ascii_digits(capsys, text, message):
     assert run(capsys, "cohom", "h0", text) == (2, "", f"usage error: {message}\n")
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "1" * (_INT_LIMIT + 1)
+_AT_MOST = f"of at most {_INT_LIMIT} digits"
+
+
+# a digit run longer than int() converts is refused in the grammar's words, not Python's
+@pytest.mark.skipif(not _INT_LIMIT, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("argv, message", [
+    (["cohom", "h0", f"{_LONG},0,0,0,0,0,0,0"],
+     f"entry 1 of '{_LONG},0,0,0,0,0,0,0' is '{_LONG}': need an integer {_AT_MOST}"),
+    (["cohom", "h0", f"{_LONG}H"],
+     f"multiplier of '{_LONG}H' is '{_LONG}': need an integer {_AT_MOST}"),
+    (["chern", "pairing", "--lhs", f"1,H,{_LONG}", "--rhs", "1,H,0"],
+     f"c2 of '1,H,{_LONG}' is '{_LONG}': need an integer {_AT_MOST}"),
+    (["cohom", "les", f"{_LONG},?"],
+     f"field 1 of '{_LONG},?' is '{_LONG}': need a nonnegative integer {_AT_MOST} or ?"),
+], ids=["vector entry", "multiplier", "c2", "les field"])
+def test_over_long_integers_are_refused_naming_the_field(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 # L98 is named as typed, not with its indices sorted
@@ -440,7 +466,9 @@ def _random_divisor(rng):
     for pos in range(rng.randint(1, 4)):
         sign = rng.choice(["+", "-"]) if pos else rng.choice(["", "-"])
         mult = rng.choice(["", "", str(rng.randint(0, 9)), f"{rng.randint(1, 9)}*"])
-        terms.append(f"{sign}{mult}{rng.choice(_TOKENS)}")
+        token = rng.choice(_TOKENS)
+        # the token 0 takes no multiplier
+        terms.append(f"{sign}{'' if token == '0' else mult}{token}")
     text = "".join(terms)
     parse_divisor(text)  # the generator only emits grammar-accepted sums
     return text

@@ -136,24 +136,24 @@ def test_peeling_invariance(rng, random_classes):
 
 
 # W(E7) oracle: the simple roots E_i - E_{i+1} and the Cremona root L - E1 - E2 - E3,
-# each acting by the reflection s(D) = D + (D.a) a, written here with DivClass.dot
+# each acting by the reflection s(D) = D + (D.a) a, written here with picard.intersect
 # only, so it shares no code with the peeling
 SIMPLE_ROOTS = [E(i) - E(i + 1) for i in range(1, 7)] + [L - E(1) - E(2) - E(3)]
 
 
 def _reflect(d, root):
-    return d + d.dot(root) * root
+    return d + intersect(d, root) * root
 
 
 def test_simple_reflections_are_isometries_fixing_h():
     basis = [L] + [E(i) for i in range(1, 8)]
     for root in SIMPLE_ROOTS:
-        assert root.dot(root) == -2 and root.dot(H) == 0
+        assert intersect(root, root) == -2 and intersect(root, H) == 0
         assert _reflect(H, root) == H
         for a in basis:
             assert _reflect(_reflect(a, root), root) == a
             for b in basis:
-                assert _reflect(a, root).dot(_reflect(b, root)) == a.dot(b)
+                assert intersect(_reflect(a, root), _reflect(b, root)) == intersect(a, b)
 
 
 # k D_i + m (D_i + E_j), j != i, k, m >= 1: D_i + E_j is a conic class (square 0),

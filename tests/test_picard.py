@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 import subprocess
 import sys
 
@@ -15,7 +17,6 @@ from dp2.picard import (
     H,
     K,
     L,
-    canonical_class,
     classes_with,
     classify,
     conic_through,
@@ -30,7 +31,7 @@ from dp2.picard import (
 
 
 def raw_intersect(a, b):
-    # the diagonal form, written out independently of DivClass.dot
+    # the diagonal form, written out independently of picard.intersect
     return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
 
 
@@ -59,7 +60,7 @@ def test_e1_dot_d1_from_expansion():
 
 
 def test_canonical_class():
-    assert canonical_class() == DivClass((-3, 1, 1, 1, 1, 1, 1, 1))
+    assert K == DivClass((-3, 1, 1, 1, 1, 1, 1, 1))
     assert intersect(K, K) == 9 - 7 == 2
     assert K + H == ZERO
     for c in enumerate_exceptional():
@@ -127,7 +128,7 @@ def test_enumerator_finds_the_census_in_order():
 def test_enumerator_finds_the_126_roots_of_e7():
     roots = classes_with(0, -2)
     assert len(roots) == 126 == len(set(roots))
-    assert all(r.dot(H) == 0 and r.selfint == -2 for r in roots)
+    assert all(intersect(r, H) == 0 and r.selfint == -2 for r in roots)
     assert [r.coeffs for r in roots] == sorted(r.coeffs for r in roots)
 
 
@@ -258,10 +259,58 @@ def test_parse_symbolic():
 @pytest.mark.parametrize("bad", ["", "Q1", "E8", "E12", "L1", "L11", "D12", "2", "H+", "\uff13H",
                                  "\uff13,-1,-1,-1,-1,-1,-1,-1", "1_0,0,0,0,0,0,0,0",
                                  "1 0,0,0,0,0,0,0,0", "1 0L", " L 2 1 ", "2 H", "3 * H",
-                                 "3* H", "- 1,0,0,0,0,0,0,0", "2H 3E1"])
+                                 "3* H", "- 1,0,0,0,0,0,0,0", "2H 3E1",
+                                 # the token 0 takes no multiplier: no digit run is a class
+                                 "10", "00", "2*0", "-20", "H-30", "*0"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_divisor(bad)
+
+
+# an independent reader of the symbolic grammar: each text is built from its parts,
+# and its class is computed from those parts, with no regex and no name table of picard
+_ORACLE_TOKENS = {
+    "H": H, "K": K, "L": L, "F": E(1) + line_through(1, 2), "0": ZERO,
+    **{f"E{i}": E(i) for i in range(1, 8)},
+    **{f"D{i}": cubic_with_node(i) for i in range(1, 8)},
+    **{f"L{i}{j}": line_through(i, j) for i, j in itertools.permutations(range(1, 8), 2)},
+    **{f"C{i}{j}": conic_through(i, j) for i, j in itertools.permutations(range(1, 8), 2)},
+}
+
+
+def _grammar_case(rng):
+    """A text of up to four signed terms and its class, or None when the grammar refuses it.
+
+    A term is a sign (optional on the first), a multiplier of ASCII digits with or
+    without "*", and a token, with the whitespace the grammar allows around the
+    sign and the term.  A multiplier before the token 0 makes a bare digit run,
+    such as "10", "00", "2*0" or "-20", which is refused.
+    """
+    text, total, refused = rng.choice(["", " "]), ZERO, False
+    for pos in range(rng.randint(1, 4)):
+        sign = rng.choice(["+", "-"] if pos else ["", "+", "-"])
+        digits = rng.choice(["", "", "0", "1", "2", "10", "007", str(rng.randint(0, 999))])
+        star = rng.choice(["", "*"]) if digits else ""
+        token = "0" if rng.random() < 0.2 else rng.choice(sorted(_ORACLE_TOKENS))
+        text += sign + rng.choice(["", " "]) + digits + star + token + rng.choice(["", " "])
+        refused = refused or (token == "0" and digits != "")
+        multiple = (-1 if sign == "-" else 1) * (int(digits) if digits else 1)
+        total = total + multiple * _ORACLE_TOKENS[token]
+    return text, None if refused else total
+
+
+def test_parse_divisor_agrees_with_a_reader_built_from_parts():
+    rng = random.Random(26)
+    outcomes = collections.Counter()
+    for _ in range(4000):
+        text, expected = _grammar_case(rng)
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_divisor(text)
+        else:
+            assert parse_divisor(text) == expected, text
+        outcomes["refused" if expected is None else "read"] += 1
+    assert min(outcomes["refused"], outcomes["read"]) > 500, outcomes
 
 
 def test_every_name_parses_back_to_its_class():

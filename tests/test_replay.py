@@ -149,15 +149,22 @@ def test_replay_runs_without_numpy():
 
 
 def test_one_claim_without_the_model_skips_the_derivation():
-    # CHI.OO needs neither the order model nor the curve codes behind it
-    script = ("from dp2 import galois, order, replay\n"
+    # CHI.OO needs neither the order model nor the curve codes behind it; the
+    # model builds are counted from before the registry is imported, and CHI.FH,
+    # which reads the model, shows that the count sees them
+    script = ("from dp2 import galois, order\n"
+              "builds = []\n"
+              "real = order.standard_model\n"
+              "order.standard_model = lambda: builds.append(1) or real()\n"
+              "from dp2 import replay\n"
               "assert replay.run_one('CHI.OO').passed\n"
-              "print(galois._curve_codes.cache_info().currsize,"
-              " order.standard_model.cache_info().currsize)\n")
+              "print(galois._curve_codes.cache_info().currsize, len(builds))\n"
+              "assert replay.run_one('CHI.FH').passed\n"
+              "print(len(builds))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0\n"
+    assert proc.stdout == "0 0\n1\n"
 
 
 @pytest.mark.parametrize("flags, golden", [
@@ -195,7 +202,6 @@ def test_cocycle_claim_fails_when_a_non_curve_joins(monkeypatch):
 
 def test_cocycle_claim_computes_no_classes(monkeypatch):
     # the claim decides ker(1 + sigma) membership only; no e-basis coordinates
-    replay.all_claim_ids()  # build the registry first: count only the claim's own calls
     calls = []
 
     def counting(d, real=galois.class_of):

@@ -249,8 +249,7 @@ def _cmd_order_ext(args) -> int:
 def _cmd_order_replay(args) -> int:
     from . import order
 
-    chain = {"orthogonality": order.replay_orthogonality,
-             "exceptional": order.replay_exceptional}[args.chain]
+    chain = getattr(order, _CHAINS[args.chain])
     return _emit_reports(chain(order.standard_model()), args.json)
 
 
@@ -284,6 +283,7 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 _JSON = ("--json", {"action": "store_true", "help": "emit JSON"})
 _DIVISOR = ("divisor", {})
+_CHAINS = {"orthogonality": "replay_orthogonality", "exceptional": "replay_exceptional"}
 
 # group -> (help, {command: (help, handler, arguments)}); each argument is
 # (name, add_argument keywords).  The command None stands for the group
@@ -318,7 +318,7 @@ _COMMANDS = {
                  ("--induced", {"action": "store_true", "help": "treat --src as a single "
                                 "induced-module generator (A level)"})]),
         "replay": ("re-run a vanishing chain", _cmd_order_replay,
-                   [_JSON, ("chain", {"choices": ["orthogonality", "exceptional"]})]),
+                   [_JSON, ("chain", {"choices": list(_CHAINS)})]),
     }),
     "replay": ("run registered verification claims", {
         None: (None, _cmd_replay,
@@ -373,6 +373,8 @@ def main(argv=None) -> int:
     if group and "--" in argv[:argv.index(group) + (1 if None in _COMMANDS[group][1] else 2)]:
         parser.error("'--' must come after the command")
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # answers print in full; parse_integer caps input
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (NotACocycle, TrivialClass, Infeasible) as exc:

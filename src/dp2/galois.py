@@ -34,13 +34,12 @@ e_i = Ei - Ei+1 is the single bit i - 1, so a ``CohClass``, which is that
 code and nothing else, has bit i as its coordinate on e_{i+1}; it prints as
 the six bits e1 first, e.g. 101000 for e1 + e3.
 The module also houses the cocycle tests and one search over the 56 x 56
-ordered curve pairs (E, E') in census row-major order: its first pair with
-[E - E'] = v represents v, and its first disjoint one represents a nonzero v.
+ordered curve pairs (E, E') in census row-major order, by the codes [C - E1]
+built at import: its first pair with [E - E'] = v represents v, and its first
+disjoint one represents a nonzero v.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import InternalInconsistency, NotACocycle, TrivialClass, Value
 from .picard import (
@@ -179,16 +178,18 @@ def class_of(d: DivClass) -> CohClass:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
 def _curve_codes() -> tuple[int, ...]:
     """The code of [C - E1] for each curve C in census order."""
     # class_of is additive, so [C - C'] has code [C - E1] XOR [C' - E1]
     return tuple(class_of(c - E(1)).code for c in enumerate_exceptional())
 
 
+_CURVE_CODES = _curve_codes()  # built once, at import
+
+
 def _pairs_realising(v: CohClass):
     """Yield the pairs of curve classes (E, E') with [E - E'] = v, in census row-major order."""
-    curves, codes, target = enumerate_exceptional(), _curve_codes(), v.code
+    curves, codes, target = enumerate_exceptional(), _CURVE_CODES, v.code
     for e, a in zip(curves, codes):
         for eprime, b in zip(curves, codes):
             if a ^ b == target:

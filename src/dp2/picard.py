@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
-from functools import lru_cache
 
 from .errors import InternalInconsistency, Value
 
@@ -187,9 +185,8 @@ def determinant(rows: list[list[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-@lru_cache(maxsize=1)
 def _census() -> dict[DivClass, str]:
-    """The 56 (-1)-curve classes in census order, each with its name E1..D7."""
+    """The 56 (-1)-curve classes in census order, each with its name E1..D7, checked."""
     pairs = list(itertools.combinations(range(1, 8), 2))
     census = {E(i): f"E{i}" for i in range(1, 8)}
     census.update({line_through(i, j): f"L{i}{j}" for i, j in pairs})
@@ -200,14 +197,17 @@ def _census() -> dict[DivClass, str]:
     return census
 
 
+_CENSUS = _census()  # built and checked once, at import
+
+
 def enumerate_exceptional() -> list[DivClass]:
     """All 56 (-1)-curve classes: E1..E7, then Lij, Cij (lexicographic), then D1..D7."""
-    return list(_census())
+    return list(_CENSUS)
 
 
 def classify(d: DivClass) -> DivClass | None:
     """d itself when it is one of the 56 (-1)-curve classes, else None."""
-    return d if d in _census() else None
+    return d if d in _CENSUS else None
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +295,22 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
 #
 #     H K L F 0 and the census names E1..E7 L12..L67 C12..C67 D1..D7
 #
-# e.g. "2H-3E1+L23", "F-H", "-H".  The token 0 takes no multiplier, so a
-# digit run such as "10", "00" or "2*0" is refused, not read as a multiple of
-# zero; "0H" is the multiplier 0 times H.  Whitespace separates, it never
-# joins: spaces may surround a sign, a raw-vector entry or the whole text, but
-# a term ("2H", "3*E1", "L21") and an integer are written without them, so
-# "2 H", "L 2 1" and "1 0,0,0,0,0,0,0,0" are refused.  The two indices of an
-# L or C token may come in either order, so "L21" is "L12".  Every integer
-# field (a multiplier and a raw vector's entries here; the command line's
-# rank, c2 and les fields) is ASCII digits, read by parse_integer, whose
-# refusal names the field: "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an
-# integer".
+# e.g. "2H-3E1+L23", "F-H", "-H".  A "*" may only follow a multiplier's digits,
+# so "*H" is refused.  The token 0 takes no multiplier, so a digit run such as
+# "10", "00" or "2*0" is refused, not read as a multiple of zero; "0H" is the
+# multiplier 0 times H.  Whitespace separates, it never joins: spaces may
+# surround a sign, a raw-vector entry or the whole text, but a term ("2H",
+# "3*E1", "L21") and an integer are written without them, so "2 H", "L 2 1"
+# and "1 0,0,0,0,0,0,0,0" are refused.  The two indices of an L or C token may
+# come in either order, so "L21" is "L12".  Every integer field (a multiplier
+# and a raw vector's entries here; the command line's rank, c2 and les fields)
+# is ASCII digits, read by parse_integer, whose refusal names the field:
+# "entry 3 of '1,2,x,0,0,0,0,0' is 'x': need an integer".
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([+-]?)\s*(?:([0-9]*)\*?([A-Za-z][0-9]*)|(0))\s*")
+_TOKEN_RE = re.compile(r"\s*([+-]?)\s*(?:(?:([0-9]+)\*?)?([A-Za-z][0-9]*)|(0))\s*")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_MAX_DIGITS = 4300  # CPython's default cap on int <-> str conversion
 
 
 def parse_integer(field: str, piece: str, text: str, nonnegative: bool = False,
@@ -322,18 +323,17 @@ def parse_integer(field: str, piece: str, text: str, nonnegative: bool = False,
     refuses negatives, followed by `` or <alternative>`` when the caller
     accepts one more spelling itself.  ``int`` alone also reads other
     scripts' digits (``int("\uff13") == 3``) and underscores, which the
-    grammar does not have.  A run longer than the interpreter converts
-    (``sys.get_int_max_str_digits()``) is refused in the same form, with
-    ``need an integer of at most <limit> digits``.
+    grammar does not have.  A run of more than 4300 digits, counted here
+    whatever cap the interpreter has on ``int``, is refused in the same form,
+    with ``need an integer of at most 4300 digits``.
     """
     piece = piece.strip()
     need = "a nonnegative integer" if nonnegative else "an integer"
     if _INTEGER_RE.fullmatch(piece):
-        try:
-            value = int(piece)
-        except ValueError:  # the run has more digits than int() converts
-            need += f" of at most {sys.get_int_max_str_digits()} digits"
+        if len(piece.lstrip("+-")) > _MAX_DIGITS:
+            need += f" of at most {_MAX_DIGITS} digits"
         else:
+            value = int(piece)
             if value >= 0 or not nonnegative:
                 return value
     shown = repr(piece) if piece else "empty"
@@ -342,10 +342,8 @@ def parse_integer(field: str, piece: str, text: str, nonnegative: bool = False,
 
 
 def _token_class(tok: str) -> DivClass:
-    # Lji and Cji name the same curve as Lij and Cij
-    name = tok[0] + "".join(sorted(tok[1:])) if len(tok) == 3 and tok[0] in "LC" else tok
     try:
-        return _classes_by_name()[name]
+        return _BY_NAME[tok]
     except KeyError:
         raise ValueError(f"unknown divisor token {tok!r}") from None
 
@@ -373,17 +371,11 @@ def parse_divisor(text: str) -> DivClass:
     return total
 
 
-@lru_cache(maxsize=1)
-def _named_classes() -> dict[DivClass, str]:
-    # none of the five short names is a curve class
-    return {**_census(), ZERO: "0", H: "H", K: "K", L: "L", F: "F"}
-
-
-@lru_cache(maxsize=1)
-def _classes_by_name() -> dict[str, DivClass]:
-    return {name: d for d, name in _named_classes().items()}
+# the printed names (no short name is a curve); the grammar also reads Lji and Cji
+_NAMES = {**_CENSUS, ZERO: "0", H: "H", K: "K", L: "L", F: "F"}
+_BY_NAME = {s: d for d, n in _NAMES.items() for s in (n, n[0] + n[:0:-1])}
 
 
 def format_divisor(d: DivClass) -> str:
     """A short name (H, K, L, F, or a curve name) when one exists, else the symbolic sum."""
-    return _named_classes().get(d, str(d))
+    return _NAMES.get(d, str(d))

@@ -1,4 +1,5 @@
 import collections
+import decimal
 import json
 import random
 import re
@@ -277,13 +278,12 @@ def test_divisor_integers_are_ascii_digits(capsys, text, message):
     assert run(capsys, "cohom", "h0", text) == (2, "", f"usage error: {message}\n")
 
 
-_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_LONG = "1" * (_INT_LIMIT + 1)
-_AT_MOST = f"of at most {_INT_LIMIT} digits"
+_LONG = "1" * 4301
+_AT_MOST = "of at most 4300 digits"
 
 
-# a digit run longer than int() converts is refused in the grammar's words, not Python's
-@pytest.mark.skipif(not _INT_LIMIT, reason="this interpreter converts integers of any length")
+# a digit run longer than CPython's default cap on int() is refused in the grammar's
+# words, not Python's, on every interpreter
 @pytest.mark.parametrize("argv, message", [
     (["cohom", "h0", f"{_LONG},0,0,0,0,0,0,0"],
      f"entry 1 of '{_LONG},0,0,0,0,0,0,0' is '{_LONG}': need an integer {_AT_MOST}"),
@@ -296,6 +296,24 @@ _AT_MOST = f"of at most {_INT_LIMIT} digits"
 ], ids=["vector entry", "multiplier", "c2", "les field"])
 def test_over_long_integers_are_refused_naming_the_field(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# an accepted input gets its answer in full, even one with more digits than the
+# interpreter's cap on int -> str conversion, which main lifts
+@pytest.mark.skipif(not _CAP, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("command, answer", [
+    ("chern chi", "{chi}"),
+    ("cohom h0", "{chi}"),
+    ("cohom dims", "h({d}L) = ({chi}, 0, 0), chi = {chi}"),
+], ids=["chern chi", "cohom h0", "cohom dims"])
+def test_long_answers_print_in_full(capsys, command, answer):
+    d = "1" * 4300  # the longest integer the grammar reads
+    chi = (int(d) * (int(d) + 3)) // 2 + 1  # D.(D + H)/2 + 1 for D = dL, which is nef
+    expected = answer.format(d=d, chi=decimal.Decimal(chi))  # Decimal prints past the cap
+    assert run(capsys, *command.split(), f"{d},0,0,0,0,0,0,0") == (0, expected + "\n", "")
 
 
 # L98 is named as typed, not with its indices sorted

@@ -301,7 +301,7 @@ def test_witness_pool_is_nef():
     # the effective cone is spanned by the 56 curves, so a class meeting each of
     # them nonnegatively meets every effective class nonnegatively: D.W < 0
     # then certifies that D is not effective, without asking h0
-    for w in cohom._witness_pool():
+    for w in cohom._WITNESS_POOL:
         assert w.selfint >= 0
         assert all(intersect(w, c) >= 0 for c in enumerate_exceptional()), w
 
@@ -309,12 +309,8 @@ def test_witness_pool_is_nef():
 def test_witness_pool_rejects_a_negative_square(monkeypatch):
     # E(3) doubled makes the pool class L - E(3) square to 1 - 4 = -3
     monkeypatch.setattr(cohom, "E", lambda i: 2 * E(i) if i == 3 else E(i))
-    cohom._witness_pool.cache_clear()
-    try:
-        with pytest.raises(InternalInconsistency, match="negative square"):
-            cohom._witness_pool()
-    finally:
-        cohom._witness_pool.cache_clear()
+    with pytest.raises(InternalInconsistency, match="negative square"):
+        cohom._witness_pool()
 
 
 def test_witness_none_for_effective():

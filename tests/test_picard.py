@@ -204,12 +204,8 @@ def test_census_names_follow_from_the_coordinates():
 
 def test_census_refuses_a_class_that_is_not_a_curve(monkeypatch):
     monkeypatch.setattr(picard, "cubic_with_node", lambda i: 3 * L - 2 * E(i))
-    picard._census.cache_clear()
-    try:
-        with pytest.raises(InternalInconsistency, match="not a \\(-1\\)-curve"):
-            picard.enumerate_exceptional()
-    finally:
-        picard._census.cache_clear()
+    with pytest.raises(InternalInconsistency, match="not a \\(-1\\)-curve"):
+        picard._census()
 
 
 def test_parse_raw_vector():
@@ -261,7 +257,9 @@ def test_parse_symbolic():
                                  "1 0,0,0,0,0,0,0,0", "1 0L", " L 2 1 ", "2 H", "3 * H",
                                  "3* H", "- 1,0,0,0,0,0,0,0", "2H 3E1",
                                  # the token 0 takes no multiplier: no digit run is a class
-                                 "10", "00", "2*0", "-20", "H-30", "*0"])
+                                 "10", "00", "2*0", "-20", "H-30", "*0",
+                                 # a "*" follows the digits of a multiplier only
+                                 "*H", "-*E1+*L"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_divisor(bad)
@@ -284,16 +282,17 @@ def _grammar_case(rng):
     A term is a sign (optional on the first), a multiplier of ASCII digits with or
     without "*", and a token, with the whitespace the grammar allows around the
     sign and the term.  A multiplier before the token 0 makes a bare digit run,
-    such as "10", "00", "2*0" or "-20", which is refused.
+    such as "10", "00", "2*0" or "-20", which is refused, and so is a "*" with no
+    digits before it, as in "*H" or "-*E1".
     """
     text, total, refused = rng.choice(["", " "]), ZERO, False
     for pos in range(rng.randint(1, 4)):
         sign = rng.choice(["+", "-"] if pos else ["", "+", "-"])
         digits = rng.choice(["", "", "0", "1", "2", "10", "007", str(rng.randint(0, 999))])
-        star = rng.choice(["", "*"]) if digits else ""
+        star = rng.choice(["", "*"])
         token = "0" if rng.random() < 0.2 else rng.choice(sorted(_ORACLE_TOKENS))
         text += sign + rng.choice(["", " "]) + digits + star + token + rng.choice(["", " "])
-        refused = refused or (token == "0" and digits != "")
+        refused = refused or (token == "0" and digits != "") or (star and not digits)
         multiple = (-1 if sign == "-" else 1) * (int(digits) if digits else 1)
         total = total + multiple * _ORACLE_TOKENS[token]
     return text, None if refused else total
@@ -315,7 +314,7 @@ def test_parse_divisor_agrees_with_a_reader_built_from_parts():
 
 def test_every_name_parses_back_to_its_class():
     # the grammar reads its tokens from the table format_divisor prints from
-    named = picard._named_classes()
+    named = picard._NAMES
     assert len(named) == 61
     for d in named:
         assert parse_divisor(format_divisor(d)) == d

@@ -152,10 +152,14 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+def _modules():
+    # every dp2 module but __main__, importing which runs the command line
+    return [importlib.import_module(f"dp2.{info.name}")
+            for info in pkgutil.iter_modules(dp2.__path__) if info.name != "__main__"]
+
+
 def test_every_value_type_has_a_case():
-    for info in pkgutil.iter_modules(dp2.__path__):
-        if info.name != "__main__":  # importing it runs the command line
-            importlib.import_module(f"dp2.{info.name}")
+    _modules()
     covered = {type(a) for a, *_ in CASES}
     assert set(_subclasses(Value)) == covered and len(covered) == len(CASES)
 
@@ -170,3 +174,15 @@ def test_cached_ramification_is_not_a_field():
     assert (repr(model), hash(model)) == before
     assert model == standard_model()
     assert pickle.loads(pickle.dumps(model)) == model
+
+
+def test_h0_is_the_only_cached_function():
+    # the fixed tables are built at import; h0's answer cache is the one cache
+    cached = set()
+    for module in _modules():
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if isinstance(obj, type) else ()
+            for qualname, f in [(name, obj), *((f"{name}.{n}", m) for n, m in members)]:
+                if hasattr(f, "cache_info") and f.__module__ == module.__name__:
+                    cached.add(f"{module.__name__}.{qualname}")
+    assert cached == {"dp2.cohom.h0"}

@@ -15,7 +15,8 @@ An expression starting with "-" must be shielded from option parsing: write
 "dp2 cohom dims -- -F-H", or start with the zero token as in "0-F-H".
 
 Every command takes --json for machine-readable output.  Exit status is 0 on
-success, 1 on a failed verification or domain error, 2 on usage errors.
+success, 1 on a failed verification or domain error, 2 on usage errors, and
+141 (128 + SIGPIPE) when the reader of the output closed it early.
 A command with one answer builds it once, as a payload dict and its text,
 and ends in ``_emit``, the one place that chooses between the payload as
 sorted JSON and the text.  The report commands (``replay``, ``order
@@ -32,6 +33,7 @@ all come from argparse.  Each handler imports only the layer it uses.
 from __future__ import annotations
 
 import math
+import os
 import sys
 
 from . import picard
@@ -376,7 +378,14 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # answers print in full; parse_integer caps input
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit stays silent
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (NotACocycle, TrivialClass, Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,11 +6,13 @@ Riemann-Roch on a surface with canonical class -H and chi(O) = 1 reads
 
 always an integer on this lattice.  Global sections are computed by base-locus
 peeling along (-1)-curves: whenever D.C < 0 for an exceptional curve C, the
-curve C is in the base locus of |D| and h0(D) = h0(D - C).  The peeling
-terminates because D.H drops at each step, and it bottoms out at
+curve C is in the base locus of |D| and h0(D) = h0(D - C).  If D has
+sections, the curves peeled are pairwise disjoint (see ``h0``), so at most 7.
+The peeling bottoms out at
 
 * D.H < 0: no sections (H is ample),
 * D.H = 0: only the trivial class has a section,
+* an eighth curve to peel: no sections,
 * D nef (nonnegative against all 56 curves): h0 = chi(D), because
   D = K + (D + H) writes D as canonical plus ample, so the higher
   cohomology vanishes.
@@ -81,10 +83,17 @@ def h0(d: DivClass) -> int:
     """Dimension of global sections, by base-locus peeling.
 
     Each step removes the first curve C with D.C = -k < 0 at its full
-    multiplicity k, since (D - kC).C = 0, so the loop runs at most D.H times.
+    multiplicity k, since (D - kC).C = 0.  Removing base curves keeps h0, so
+    if D is effective, every peeled class is, and the removed curves are
+    pairwise disjoint with product 0 against the current class: a negative C
+    meeting a removed C' would contradict effectiveness, because for
+    C.C' = 1, C + C' is a conic class, which is nef, and for C.C' = 2,
+    C + C' = H and the degree would already be negative.  Disjoint (-1)-curves
+    span a negative definite sublattice, so at most 7 of them, and an
+    effective D is decided within 8 steps; an eighth removal proves h0 = 0.
     """
     curves = enumerate_exceptional()
-    while True:
+    for _ in range(8):  # an effective D returns by the eighth step
         deg = intersect(d, H)
         if deg < 0:
             return 0
@@ -97,6 +106,7 @@ def h0(d: DivClass) -> int:
                 break
         else:
             return chi_line(d)  # nef: higher cohomology vanishes
+    return 0  # an eighth curve removed: D is not effective
 
 
 def h2(d: DivClass) -> int:

@@ -22,8 +22,9 @@ is reduced to line-bundle cohomology on Y through three exact mechanisms:
 
 * adjunction for induced modules, Ext_A(A x O(D), N) = Ext_Y(O(D), N);
 * the endomorphism-algebra decomposition
-  Ext_Y(M, N) = Ext_A(M, N) + Ext_A(M, Au x N), which bounds the A-level
-  dimensions by the Y-level ones and lets one side be solved from the other;
+  Ext_Y(M, N) = Ext_A(M, N) + Ext_A(M, Au x N), solved by ``les_solve``
+  degree by degree as the split exact sequence
+  0 -> Ext_A(M, N) -> Ext_Y(M, N) -> Ext_A(M, Au x N) -> 0;
 * injectivity of nonzero maps between generically simple modules, so a
   non-effective determinant difference forces Hom = 0.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from .chern import CH_O, ChernChar, ch_line, ch_of, chern_of_extension, mult
 from .cohom import chi_line, cohom_dims, h0, h1, h2, les_solve
-from .errors import Infeasible, Value
+from .errors import Value
 from .galois import sigma
 from .picard import (
     ZERO,
@@ -59,7 +60,6 @@ __all__ = [
     "induced_split",
     "ext_y_split",
     "ext_a_induced",
-    "decomposition_solve",
     "hom_vanishing_by_det",
     "serre_twist",
     "replay_orthogonality",
@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 Triple = tuple[int, int, int]
-PartialTriple = tuple[int | None, int | None, int | None]
 
 
 class OrderModel(Value):
@@ -198,31 +197,6 @@ def ext_a_induced(d: DivClass, tgt: SplitBundle) -> Triple:
     Y-restriction of an actual A-module; this is recorded, not checked.
     """
     return ext_y_split(SplitBundle((d,)), tgt)
-
-
-def decomposition_solve(ext_y: Triple, known_a: PartialTriple = (None, None, None)
-                        ) -> tuple[PartialTriple, PartialTriple]:
-    """Fill the decomposition Ext_Y = Ext_A + Ext_A(-, Au x -) degree by degree.
-
-    Returns (ext_a, ext_a_twisted), the A-level dimensions and those of the
-    complementary summand Ext_A(M, Au x N), with None where not pinned.  A
-    zero Y-level dimension forces both summands to zero; a supplied A-level
-    dimension forces the twisted complement.  Raises Infeasible when a
-    supplied value is negative or exceeds the Y-level bound.
-    """
-    a_out: list[int | None] = [None, None, None]
-    tw_out: list[int | None] = [None, None, None]
-    for i in range(3):
-        if known_a[i] is not None:
-            if known_a[i] > ext_y[i] or known_a[i] < 0:
-                raise Infeasible(
-                    f"degree {i}: A-level {known_a[i]} incompatible with Y-level {ext_y[i]}")
-            a_out[i] = known_a[i]
-            tw_out[i] = ext_y[i] - known_a[i]
-        elif ext_y[i] == 0:
-            a_out[i] = 0
-            tw_out[i] = 0
-    return tuple(a_out), tuple(tw_out)
 
 
 def hom_vanishing_by_det(c1_src: DivClass, c1_tgt: DivClass) -> bool:
@@ -359,12 +333,13 @@ def replay_branch_points(model: OrderModel) -> list[ClaimReport]:
     splits = [split for _, split in branches]
     selfpair = list(ext_y_split(split1, split1))
     crosspair = list(ext_y_split(split1, split2))
-    ext_a, twisted = decomposition_solve(tuple(crosspair))
+    # each degree of the decomposition is the split sequence [ext_A, ext_Y, twisted]
+    ext2 = les_solve([None, crosspair[2], None])
     # conditional on the cited stability of the non-split modules: the Y-level
-    # triple (1, 1, 0) and the tangent-space input ext^1_A = 1 are taken as
-    # stated, the arithmetic of the decomposition is what is verified
-    _, swapped = decomposition_solve((1, 1, 0), (None, 1, None))
-    _, at_branch = decomposition_solve(tuple(selfpair), (None, 1, None))
+    # ext^1 = 1 and the tangent-space input ext^1_A = 1 are taken as stated,
+    # the arithmetic of the decomposition is what is verified
+    swapped = les_solve([1, 1, None]).entry(2)
+    at_branch = les_solve([1, selfpair[1], None]).entry(2)
     return [
         ClaimReport(
             "RAM.SPLITS",
@@ -391,7 +366,8 @@ def replay_branch_points(model: OrderModel) -> list[ClaimReport]:
             "vanishing Y-level Ext forces both A-level summands to vanish",
             "degree-2 vanishing through the endomorphism decomposition",
             {"ext_y": [0, 0, 0], "ext2_A_forced": 0, "ext2_twisted_forced": 0},
-            {"ext_y": crosspair, "ext2_A_forced": ext_a[2], "ext2_twisted_forced": twisted[2]}),
+            {"ext_y": crosspair, "ext2_A_forced": ext2.entry(0),
+             "ext2_twisted_forced": ext2.entry(2)}),
         ClaimReport(
             "EXT01.EQ", "ext^0 = ext^1 at the Y level for module pairs",
             "equality of Hom and first Ext dimensions for the moduli modules",
@@ -405,14 +381,14 @@ def replay_branch_points(model: OrderModel) -> list[ClaimReport]:
             "(conditional on cited stability) Y-level ext^1 = 1 with tangent input 1 "
             "forces the untwisted A-level ext^1 to 0",
             "swapped-point case of the first-Ext vanishing",
-            {"complement_ext1": 0}, {"complement_ext1": swapped[1]}),
+            {"complement_ext1": 0}, {"complement_ext1": swapped}),
         ClaimReport(
             "KS.SPLIT",
             "at a branch point, ext^1_Y = 2 and tangent input 1 leave exactly one "
             "twisted first-order deformation",
             "tangent-space bookkeeping at the branch points",
             {"ext_y": [2, 2, 0], "complement_ext1": 1},
-            {"ext_y": selfpair, "complement_ext1": at_branch[1]}),
+            {"ext_y": selfpair, "complement_ext1": at_branch}),
     ]
 
 

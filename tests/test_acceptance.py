@@ -191,8 +191,8 @@ def test_criterion_8_order_layer():
     first = ramification[0][1]
     self_ext = order.ext_y_split(first, first)
     assert self_ext == (2, 2, 0)
-    _, twisted = order.decomposition_solve(self_ext, (None, 1, None))
-    assert twisted[1] == 1
+    # degree 1 of the decomposition, solved as the split sequence [ext_A, ext_Y, twisted]
+    assert les_solve([1, self_ext[1], None]).entry(2) == 1
     _report(8, "exceptionality triple (1, 0, 0); orthogonality chain fully matched; "
                "three vanishing branch pairs; twisted deformation count 1 from (2, 1)")
 

@@ -1,6 +1,7 @@
 import collections
 import decimal
 import json
+import os
 import random
 import re
 import subprocess
@@ -449,6 +450,27 @@ def test_order_replay_does_not_load_the_claim_registry():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_a_deep_order_ext_answers():
+    # h2 needs h0(N(L - E1) - 2H); a peeling without a step bound takes time linear in N
+    n = "9" * 4300
+    proc = subprocess.run([sys.executable, "-m", "dp2", "order", "ext", "--src", f"{n}L-{n}E1",
+                           "--tgt", "H"], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ext_Y(")
+
+
+@pytest.mark.parametrize("argv", [["replay", "all"], ["cohom", "h0", "H"]])
+def test_a_closed_output_pipe_ends_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dp2", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_frozen_query_pool(capsys):

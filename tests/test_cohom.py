@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 from conftest import oracle_feasible_values, random_dim_sequence
 
@@ -105,6 +106,49 @@ def test_h0_caches_only_its_own_calls():
     h0.cache_clear()
     assert h0(900 * E(1)) == 1
     assert h0.cache_info().currsize == 1
+
+
+def test_h0_of_a_deep_non_effective_class_takes_a_few_steps():
+    # a peeling without a step bound removes a bounded part of D.H per step: seconds here
+    d = parse_divisor("1000000L-1000000E1-2H")
+    start = time.perf_counter()
+    assert h0.__wrapped__(d) == 0
+    assert time.perf_counter() - start < 0.05
+
+
+def _unbounded_peel(d):
+    # reference: peel every negative curve until the degree or nefness decides
+    curves = enumerate_exceptional()
+    while True:
+        deg = intersect(d, H)
+        if deg <= 0:
+            return int(deg == 0 and d.is_zero())
+        negative = next((c for c in curves if intersect(d, c) < 0), None)
+        if negative is None:
+            return chi_line(d)
+        d = d + intersect(d, negative) * negative
+
+
+class _ScanCount(list):
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_h0_matches_the_unbounded_peeling(monkeypatch):
+    # the same answers, in at most 8 scans of the curves whatever the coefficients
+    curves = _ScanCount(enumerate_exceptional())
+    monkeypatch.setattr(cohom, "enumerate_exceptional", lambda: curves)
+    rng = random.Random(28)
+    most = 0
+    for _ in range(3000):
+        d = DivClass(tuple(rng.randint(-20, 20) for _ in range(8)))
+        curves.scans = 0
+        assert h0.__wrapped__(d) == _unbounded_peel(d), d
+        most = max(most, curves.scans)
+    assert 1 < most <= 8
 
 
 def test_vanishing_table():
@@ -366,6 +410,11 @@ def test_les_squeeze():
     assert les_solve([0, None, 0]).entry(1) == 0
     assert les_solve([0, 1, None, 0]).entry(2) == 1
     assert les_solve([None]).entry(0) == 0
+    # the split sequence 0 -> Ext_A -> Ext_Y -> Ext_A(-, Au x -) -> 0 of the order layer:
+    # a zero Y-level value forces both sides, an A-level value forces the twisted one
+    assert les_solve([None, 0, None]).entries == (0, 0, 0)
+    assert les_solve([1, 1, None]).entry(2) == 0
+    assert les_solve([1, 2, None]).entry(2) == 1
 
 
 def test_les_six_term_chain():
@@ -407,12 +456,16 @@ def test_les_infeasible():
         les_solve([2, 1, 2])
     with pytest.raises(Infeasible, match=r"^no rank assignment for 0, \?, 0, 0, 3$"):
         les_solve([0, None, 0, 0, 3])
+    # an A-level value above the Y-level one in the split sequence [ext_A, ext_Y, twisted]
+    with pytest.raises(Infeasible, match=r"^no rank assignment for 2, 1, \?$"):
+        les_solve([2, 1, None])
 
 
 def test_les_rejects_bad_entries():
     for entries, message in [
         ([], "empty sequence"),
         ([1, -1], "entries must be nonnegative ints or None, got -1"),
+        ([-1, 1, None], "entries must be nonnegative ints or None, got -1"),
         ([1.5], "entries must be nonnegative ints or None, got 1.5"),
     ]:
         with pytest.raises(ValueError) as info:

@@ -5,12 +5,10 @@ import pytest
 
 from dp2.chern import ch_line, ch_of, euler_pairing
 from dp2.cohom import cohom_dims
-from dp2.errors import Infeasible
 from dp2.galois import CohClass, class_of, disjoint_representative, sigma
 from dp2.order import (
     OrderModel,
     SplitBundle,
-    decomposition_solve,
     ext_a_induced,
     ext_y_split,
     hom_vanishing_by_det,
@@ -124,17 +122,6 @@ def test_ext_a_induced_examples():
     assert ext_a_induced(E(1), induced_split(E(3), model)) == (0, 0, 0)
     assert ext_a_induced(H, induced_split(H, model)) == (1, 0, 0)
     assert ext_a_induced(ZERO, induced_split(ZERO, model)) == (1, 0, 0)
-
-
-def test_decomposition_solve():
-    assert decomposition_solve((0, 0, 0)) == ((0, 0, 0), (0, 0, 0))
-    assert decomposition_solve((1, 1, 0), (None, 1, None)) == ((None, 1, 0), (None, 0, 0))
-    assert decomposition_solve((2, 2, 0), (None, 1, None)) == ((None, 1, 0), (None, 1, 0))
-
-    with pytest.raises(Infeasible):
-        decomposition_solve((1, 0, 0), (2, None, None))
-    with pytest.raises(Infeasible):
-        decomposition_solve((1, 0, 0), (-1, None, None))
 
 
 def test_hom_vanishing_by_det():

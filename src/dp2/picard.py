@@ -249,37 +249,33 @@ def classes_with(degree: int, selfint: int) -> list[DivClass]:
     """Every class D with D.H = degree and D.D = selfint, in lexicographic order.
 
     Exhaustive over the box of coordinate_bounds, which provably holds all of
-    them.  The prefix (d, m1..m5) is searched, pruning partial sums of the
-    mi^2 beyond d^2 - selfint.  The last pair is then solved in closed form:
-    D.H = 3d + m1 + ... + m7 fixes s = m6 + m7 and D.D fixes
-    q = m6^2 + m7^2, so (m6 - m7)^2 = 2q - s^2 must be a square r^2, and
-    m6 = (s - r)/2, then (s + r)/2 when r > 0 (r and s have equal parity).
+    them.  Given d, the coordinates m1..m7 must reach the sum
+    S = degree - 3d (from D.H) and the sum of squares Q = d^2 - selfint
+    (from D.D).  Each coordinate runs over its interval, and a value m is
+    kept by one rule: the n coordinates after it must still reach S - m and
+    Q - m^2, so (S - m)^2 <= n (Q - m^2).  A full vector is a class exactly
+    when both remainders are 0.  The search is complete because the
+    coordinates after any prefix of a class satisfy Cauchy-Schwarz,
+    (m_1 + ... + m_n)^2 <= n (m_1^2 + ... + m_n^2), so the rule prunes no
+    class inside the box.
     """
     bounds = coordinate_bounds(degree, selfint)
     if bounds is None:
         return []
-    (d_lo, d_hi), *m_bounds = bounds
-    (lo6, hi6), (lo7, hi7) = m_bounds[-2:]
+    d_lo, d_hi = bounds[0]
     found: list[DivClass] = []
 
     def extend(prefix: tuple[int, ...], degree_left: int, squares_left: int) -> None:
-        if len(prefix) == RANK - 2:
-            diff_square = 2 * squares_left - degree_left * degree_left
-            if diff_square < 0:
-                return
-            r = math.isqrt(diff_square)
-            if r * r != diff_square:
-                return
-            first = (degree_left - r) // 2
-            for m6 in (first, first + r) if r else (first,):
-                m7 = degree_left - m6
-                if lo6 <= m6 <= hi6 and lo7 <= m7 <= hi7:
-                    found.append(DivClass((*prefix, m6, m7)))
+        if len(prefix) == RANK:
+            if degree_left == squares_left == 0:
+                found.append(DivClass(prefix))
             return
-        lo, hi = m_bounds[len(prefix) - 1]
+        rest = RANK - 1 - len(prefix)  # coordinates after this one
+        lo, hi = bounds[len(prefix)]
         for m in range(lo, hi + 1):
-            if m * m <= squares_left:
-                extend((*prefix, m), degree_left - m, squares_left - m * m)
+            dl, sl = degree_left - m, squares_left - m * m
+            if dl * dl <= rest * sl:  # Cauchy-Schwarz on the coordinates after m
+                extend((*prefix, m), dl, sl)
 
     for d in range(d_lo, d_hi + 1):
         extend((d,), degree - 3 * d, d * d - selfint)

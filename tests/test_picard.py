@@ -140,12 +140,30 @@ def brute_force_classes_with(degree, selfint):
             if 3 * v[0] + sum(v[1:]) == degree and raw_intersect(v, v) == selfint]
 
 
-@pytest.mark.parametrize("degree, selfint", [(0, -2), (1, -1), (2, 0), (2, -2), (3, 1)])
+# besides the roots, the curves and the conic classes: a negative degree, a
+# single solution (0), a box that holds no solution, and the negated conics
+ENUMERATOR_INPUTS = [(0, -2), (1, -1), (2, 0), (2, -2), (3, 1), (-1, -1), (0, 0), (0, -1), (-2, 0)]
+
+
+@pytest.mark.parametrize("degree, selfint", ENUMERATOR_INPUTS)
 def test_enumerator_equals_brute_force_over_the_box(degree, selfint):
     found = [d.coeffs for d in classes_with(degree, selfint)]
     assert found == brute_force_classes_with(degree, selfint)
-    # the closed-form last pair has one root when m6 = m7 and two otherwise
-    assert any(v[6] == v[7] for v in found) and any(v[6] != v[7] for v in found)
+
+
+# the simple roots E_i - E_{i+1} and L - E1 - E2 - E3 of E7: a.a = -2 and a.H = 0
+SIMPLE_ROOTS = [tuple(int(k == i) - int(k == i + 1) for k in range(8)) for i in range(1, 7)]
+SIMPLE_ROOTS.append((1, -1, -1, -1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("degree, selfint", ENUMERATOR_INPUTS)
+def test_enumerator_output_is_closed_under_the_weyl_group(degree, selfint):
+    # a second route to completeness that never reads coordinate_bounds: the
+    # reflection s(D) = D + (D.a) a fixes H and the form, so it permutes the
+    # classes with given D.H and D.D, and a complete set is closed under it
+    found = {d.coeffs for d in classes_with(degree, selfint)}
+    for a in SIMPLE_ROOTS:
+        assert {tuple(x + raw_intersect(v, a) * y for x, y in zip(v, a)) for v in found} == found
 
 
 def test_enumerator_empty_when_no_class_exists():

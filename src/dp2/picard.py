@@ -58,6 +58,9 @@ class DivClass(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, int, int, int, int, int, int, int]):
+        # a list would be kept as given: unhashable, and never equal to a class
+        if type(coeffs) is not tuple:
+            raise TypeError(f"coordinates must be a tuple, got {type(coeffs).__name__}")
         if len(coeffs) != RANK:
             raise ValueError(f"need {RANK} coordinates, got {len(coeffs)}")
         if not all(isinstance(c, int) for c in coeffs):

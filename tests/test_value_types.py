@@ -109,6 +109,8 @@ def test_copy_and_pickle_round_trip(a, twin, text, fields, name):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: DivClass((1, 2)), ValueError, "need 8 coordinates, got 2"),
     (lambda: DivClass((1.0,) * 8), TypeError, "coordinates must be integers"),
+    (lambda: DivClass([3, -1, -1, -1, -1, -1, -1, -1]), TypeError,
+     "coordinates must be a tuple, got list"),
     (lambda: ChernChar(1, H, 1), ValueError,
      "degree-2 part 1/2 violates integrality against c^2 = 2"),
     (lambda: les_solve([]), ValueError, "empty sequence"),
